@@ -14,6 +14,13 @@ Engines are *pure*: state in, state out.  Values are hashed by their
 IEEE-754 bit pattern, so a checksum recomputed during recovery from
 persisted data matches exactly if and only if the data persisted.
 
+Each engine has two forms of one code.  The streaming form
+(``reset``/``update``/``finalize``) is the per-store ``UpdateCheckSum``
+the kernels call.  The bulk form, :meth:`ChecksumEngine.of_rows`,
+checksums every row of a ``(T, n)`` float64 block at once with numpy;
+:meth:`ChecksumEngine.of_values` is its one-row case.  The tests pin
+the bulk form to the streaming fold, row by row.
+
 ``flops_per_update`` is the compute cost a workload charges per
 ``UpdateCheckSum`` call; the relative costs reproduce the Figure 15b
 ordering (parity < modular < parallel < adler).
@@ -22,18 +29,29 @@ ordering (parity < modular < parallel < adler).
 from __future__ import annotations
 
 import struct
+import zlib
 from abc import ABC, abstractmethod
 from typing import Dict, Type
+
+import numpy as np
 
 from repro.errors import ConfigError
 
 _MASK32 = 0xFFFFFFFF
-_ADLER_MOD = 65521
+_F64 = struct.Struct("<d")
+_U64 = struct.Struct("<Q")
+_NP_MASK32 = np.uint64(_MASK32)
+_NP_SHIFT32 = np.uint64(32)
 
 
 def value_bits(value: float) -> int:
     """The 64-bit IEEE-754 pattern of a value (ints go through float)."""
-    return struct.unpack("<Q", struct.pack("<d", float(value)))[0]
+    return _U64.unpack(_F64.pack(float(value)))[0]
+
+
+def _row_bits(block: np.ndarray) -> np.ndarray:
+    """A ``(T, n)`` block of values as little-endian uint64 patterns."""
+    return np.ascontiguousarray(block, dtype="<f8").view("<u8")
 
 
 class ChecksumEngine(ABC):
@@ -58,12 +76,18 @@ class ChecksumEngine(ABC):
     def finalize(self, state: int) -> int:
         """The value written into the checksum table."""
 
+    @abstractmethod
+    def of_rows(self, block: np.ndarray) -> np.ndarray:
+        """Checksum of each row of a ``(T, n)`` float64 block (uint64)."""
+
     def of_values(self, values) -> int:
-        """Checksum of an iterable of values (recovery-side helper)."""
-        state = self.reset()
-        for v in values:
-            state = self.update(state, v)
-        return self.finalize(state)
+        """Checksum of an iterable of values (recovery-side helper).
+
+        Values convert as ``float()`` converts them, so ``None`` raises
+        instead of hashing as NaN.
+        """
+        row = np.fromiter(map(float, values), dtype=np.float64)
+        return int(self.of_rows(row.reshape(1, -1))[0])
 
 
 class ParityChecksum(ChecksumEngine):
@@ -80,6 +104,10 @@ class ParityChecksum(ChecksumEngine):
 
     def finalize(self, state: int) -> int:
         return (state ^ (state >> 32)) & _MASK32
+
+    def of_rows(self, block: np.ndarray) -> np.ndarray:
+        folded = np.bitwise_xor.reduce(_row_bits(block), axis=1)
+        return (folded ^ (folded >> _NP_SHIFT32)) & _NP_MASK32
 
 
 class ModularChecksum(ChecksumEngine):
@@ -104,27 +132,33 @@ class ModularChecksum(ChecksumEngine):
     def finalize(self, state: int) -> int:
         return state & _MASK32
 
+    def of_rows(self, block: np.ndarray) -> np.ndarray:
+        # the little-endian 32-bit words are each value's low/high halves
+        words = _row_bits(block).view("<u4")
+        return words.sum(axis=1, dtype=np.uint64) & _NP_MASK32
+
 
 class Adler32Checksum(ChecksumEngine):
-    """Adler-32 over each value's 8 little-endian bytes (zlib-style)."""
+    """Adler-32 over each value's 8 little-endian bytes (zlib's code)."""
 
     name = "adler32"
     flops_per_update = 5.0
 
     def reset(self) -> int:
-        # state packs (b << 16) | a with a starting at 1, like zlib.
+        # state packs (b << 16) | a with a starting at 1: zlib's running value
         return 1
 
     def update(self, state: int, value: float) -> int:
-        a = state & 0xFFFF
-        b = (state >> 16) & 0xFFFF
-        for byte in struct.pack("<d", float(value)):
-            a = (a + byte) % _ADLER_MOD
-            b = (b + a) % _ADLER_MOD
-        return (b << 16) | a
+        return zlib.adler32(_F64.pack(float(value)), state)
 
     def finalize(self, state: int) -> int:
         return state & _MASK32
+
+    def of_rows(self, block: np.ndarray) -> np.ndarray:
+        rows = _row_bits(block)
+        return np.fromiter(
+            (zlib.adler32(row) for row in rows), dtype=np.uint64, count=len(rows)
+        )
 
 
 class ParallelChecksum(ChecksumEngine):
@@ -152,15 +186,18 @@ class ParallelChecksum(ChecksumEngine):
         return 0
 
     def update(self, state: int, value: float) -> int:
-        mod = (state >> 32) & _MASK32
-        par = state & _MASK32
-        mod = self._modular.update(mod, value)
+        bits = value_bits(value)
+        mod = ((state >> 32) + (bits & _MASK32) + (bits >> 32)) & _MASK32
         # fold parity progressively so intermediate state stays 32-bit
-        par = (par ^ value_bits(value) ^ (value_bits(value) >> 32)) & _MASK32
+        par = (state ^ bits ^ (bits >> 32)) & _MASK32
         return (mod << 32) | par
 
     def finalize(self, state: int) -> int:
         return state
+
+    def of_rows(self, block: np.ndarray) -> np.ndarray:
+        modular = self._modular.of_rows(block)
+        return (modular << _NP_SHIFT32) | self._parity.of_rows(block)
 
 
 _ENGINES: Dict[str, Type[ChecksumEngine]] = {

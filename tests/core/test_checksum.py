@@ -100,7 +100,7 @@ class TestParityWeakness:
 
 class TestAdler32:
     def test_matches_zlib_for_byte_stream(self):
-        """Our from-scratch Adler-32 agrees with zlib on raw bytes."""
+        """The Adler-32 engine agrees with zlib on raw bytes."""
         import struct
         import zlib
 

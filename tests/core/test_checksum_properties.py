@@ -3,7 +3,9 @@
 import struct
 import zlib
 
-from hypothesis import given, settings, strategies as st
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.checksum import (
     Adler32Checksum,
@@ -19,6 +21,28 @@ reasonable_floats = st.floats(
 value_lists = st.lists(reasonable_floats, min_size=1, max_size=40)
 
 ENGINES = [ParityChecksum, ModularChecksum, Adler32Checksum, ParallelChecksum]
+
+
+def _from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# Any 64-bit pattern (NaN payloads included), the named special values,
+# and Python ints, which hash as float() of themselves.
+any_values = st.one_of(
+    st.integers(min_value=0, max_value=(1 << 64) - 1).map(_from_bits),
+    st.sampled_from(
+        [0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324, -5e-324]
+    ),
+    st.integers(min_value=-(1 << 70), max_value=1 << 70),
+)
+value_blocks = st.integers(min_value=0, max_value=9).flatmap(
+    lambda width: st.lists(
+        st.lists(any_values, min_size=width, max_size=width),
+        min_size=1,
+        max_size=6,
+    )
+)
 
 
 @given(value_lists, st.integers(min_value=0, max_value=39), reasonable_floats)
@@ -46,6 +70,39 @@ def test_streaming_equals_batch(values):
         for v in values:
             state = e.update(state, v)
         assert e.finalize(state) == e.of_values(values)
+
+
+@given(value_blocks)
+@example([[]])
+@example([[_from_bits(0x7FF0_0000_0000_0001)]])
+@example([[-0.0], [0.0]])
+@settings(max_examples=150, deadline=None)
+def test_bulk_rows_equal_streaming_fold(rows):
+    """``of_rows`` checksums each row exactly as the per-store
+    ``update``/``finalize`` fold does, and ``of_values`` is its
+    one-row case."""
+    block = np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
+    assert block.shape == (len(rows), len(rows[0]))
+    for engine_cls in ENGINES:
+        e = engine_cls()
+        bulk = e.of_rows(block)
+        assert bulk.dtype == np.uint64 and bulk.shape == (len(rows),)
+        for row, got in zip(rows, bulk):
+            state = e.reset()
+            for v in row:
+                state = e.update(state, v)
+            assert int(got) == e.finalize(state), engine_cls.name
+            assert e.of_values(row) == int(got), engine_cls.name
+
+
+@pytest.mark.parametrize("engine_cls", ENGINES)
+def test_none_is_not_a_value(engine_cls):
+    """Values convert as ``float()`` does: ``None`` raises, it does not
+    hash as NaN."""
+    with pytest.raises(TypeError):
+        engine_cls().of_values([None])
+    with pytest.raises(TypeError):
+        engine_cls().of_values([1.0, None, 2.0])
 
 
 @given(value_lists)
