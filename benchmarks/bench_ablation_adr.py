@@ -8,8 +8,6 @@ substantially more expensive while Lazy Persistency — which issues no
 fences at all — is untouched.  This ablation quantifies that gap.
 """
 
-import dataclasses
-
 from repro.analysis.experiments import compare_variants
 from repro.analysis.reporting import format_table
 from repro.workloads.tmm import TiledMatMul
@@ -20,10 +18,7 @@ from bench_common import NUM_THREADS, engine_opts, machine_config, record
 def run_adr_ablation():
     out = {}
     for adr in (True, False):
-        cfg = machine_config()
-        cfg = dataclasses.replace(
-            cfg, nvmm=dataclasses.replace(cfg.nvmm, adr=adr)
-        )
+        cfg = machine_config().with_model("adr" if adr else "pre_adr")
         out[adr] = compare_variants(
             TiledMatMul(n=96, bsize=8, kk_tiles=2),
             cfg,

@@ -34,13 +34,16 @@ import os
 import random
 import tempfile
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.experiments import ExperimentResult, run_variant
 from repro.errors import ConfigError
 from repro.sim.config import MachineConfig
 from repro.workloads.base import Workload
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.journal import TelemetryJournal
 
 #: Bumped whenever the cache record layout changes.
 CACHE_FORMAT_VERSION = 1
@@ -371,7 +374,7 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe snapshot (manifests, telemetry, CLI summaries)."""
+        """JSON-safe snapshot (journal batch events, CLI summaries)."""
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -388,113 +391,34 @@ class CacheStats:
         )
 
 
-@dataclass
-class RunTelemetry:
-    """Harness-level telemetry for one or more :func:`run_jobs` batches.
-
-    Records what the *harness* did — not what the simulator measured:
-    one span per job (queue-to-finish wall clock, cache hit or full
-    run), the worker count, total batch wall clock, and a snapshot of
-    the cache's hit/miss counters.  Collected by passing an instance to
-    ``run_jobs(..., telemetry=...)`` or ambiently via
-    :func:`collect_telemetry`; rendered by ``repro dashboard``.
-
-    Spans are plain dicts (JSON-safe)::
-
-        {"label": "tmm/lp", "status": "run" | "hit",
-         "start_s": 0.0, "end_s": 1.7, "wall_s": 1.7}
-
-    ``start_s``/``end_s`` are offsets from the first batch's start, on
-    the shared wall clock, so pool workers' spans line up on one
-    timeline.
-    """
-
-    workers: int = 1
-    wall_clock_s: float = 0.0
-    spans: List[Dict[str, object]] = field(default_factory=list)
-    cache: Optional[Dict[str, object]] = None
-    #: Optional streaming sink (``emit(kind, **fields)``, e.g. a
-    #: :class:`repro.obs.journal.TelemetryJournal`): every recorded
-    #: span is also emitted as a ``job_span`` event, and each batch's
-    #: summary as a ``batch`` event, while the run is still going.
-    journal: Optional[object] = field(default=None, repr=False, compare=False)
-    _epoch: Optional[float] = field(default=None, repr=False, compare=False)
-
-    def record_span(self, span: Dict[str, object]) -> None:
-        """Append one job span, streaming it to the journal if any."""
-        self.spans.append(span)
-        if self.journal is not None:
-            self.journal.emit("job_span", workers=self.workers, **span)
-
-    def record_batch(self) -> None:
-        """Stream the current batch summary to the journal if any."""
-        if self.journal is not None:
-            self.journal.emit("batch", **self.summary())
-
-    def busy_s(self) -> float:
-        """Total span wall clock (summed over workers)."""
-        return sum(float(span.get("wall_s", 0.0)) for span in self.spans)
-
-    def utilization(self) -> float:
-        """Busy fraction of the worker pool over the batch wall clock."""
-        capacity = self.workers * self.wall_clock_s
-        return self.busy_s() / capacity if capacity > 0 else 0.0
-
-    def counts(self) -> Dict[str, int]:
-        out = {"jobs": len(self.spans), "hits": 0, "runs": 0}
-        for span in self.spans:
-            if span.get("status") == "hit":
-                out["hits"] += 1
-            else:
-                out["runs"] += 1
-        return out
-
-    def summary(self) -> Dict[str, object]:
-        """Flat headline dict (CLI output, report manifests)."""
-        out: Dict[str, object] = dict(self.counts())
-        out["workers"] = self.workers
-        out["wall_clock_s"] = round(self.wall_clock_s, 4)
-        out["busy_s"] = round(self.busy_s(), 4)
-        out["utilization"] = round(self.utilization(), 4)
-        if self.cache is not None:
-            out["cache"] = dict(self.cache)
-        return out
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe document (``repro sweep --telemetry-out``)."""
-        return {
-            "workers": self.workers,
-            "wall_clock_s": round(self.wall_clock_s, 6),
-            "spans": [dict(span) for span in self.spans],
-            "cache": dict(self.cache) if self.cache is not None else None,
-            "summary": self.summary(),
-        }
-
-
-#: Ambient telemetry sink installed by :func:`collect_telemetry` —
-#: lets the CLI collect spans across call chains (sweeps, compares)
-#: whose intermediate layers do not thread a telemetry argument.
-_ACTIVE_TELEMETRY: Optional[RunTelemetry] = None
+#: Ambient journal installed by :func:`collect_telemetry` — lets the
+#: CLI collect spans across call chains (sweeps, compares) whose
+#: intermediate layers do not thread a journal argument.
+_ACTIVE_JOURNAL: Optional["TelemetryJournal"] = None
 
 
 @contextlib.contextmanager
 def collect_telemetry(
-    telemetry: Optional[RunTelemetry] = None,
-) -> Iterator[RunTelemetry]:
-    """Collect telemetry from every :func:`run_jobs` call in the block.
+    journal: Optional[str] = None,
+) -> Iterator["TelemetryJournal"]:
+    """Journal every :func:`run_jobs` call in the block.
 
-    Yields the collecting :class:`RunTelemetry` (a fresh one unless
-    passed in).  Batches accumulate: spans append, wall clocks sum,
-    ``workers`` keeps the maximum.
+    Installs and yields a :class:`repro.obs.journal.TelemetryJournal`
+    that appends to the file ``journal``, or is kept in memory when no
+    path is given.  ``journal_summary(journal.events)`` folds what the
+    block ran into a :class:`repro.obs.journal.RunTelemetry` document.
     """
-    global _ACTIVE_TELEMETRY
-    sink = telemetry if telemetry is not None else RunTelemetry()
-    previous = _ACTIVE_TELEMETRY
-    _ACTIVE_TELEMETRY = sink
+    global _ACTIVE_JOURNAL
+    # Imported lazily: importing the runner never loads repro.obs.
+    from repro.obs.journal import TelemetryJournal
+
+    sink = TelemetryJournal(path=journal)
+    previous = _ACTIVE_JOURNAL
+    _ACTIVE_JOURNAL = sink
     try:
         yield sink
     finally:
-        _ACTIVE_TELEMETRY = previous
+        _ACTIVE_JOURNAL = previous
 
 
 class ResultCache:
@@ -736,7 +660,7 @@ def run_jobs(
     cache: Optional[ResultCache] = None,
     mp_context: str = "spawn",
     decode=None,
-    telemetry: Optional[RunTelemetry] = None,
+    journal: Optional["TelemetryJournal"] = None,
 ) -> List[ExperimentResult]:
     """Run experiment points, in parallel, through the result cache.
 
@@ -750,20 +674,34 @@ def run_jobs(
     ``to_dict()`` when a cache is used, and ``decode`` must be the
     matching ``from_dict`` (defaults to ExperimentResult's).
 
-    ``telemetry`` (or an ambient :func:`collect_telemetry` sink)
-    receives one span per job — cache hits included — plus worker
-    count, batch wall clock, and a cache-stats snapshot.
+    ``journal`` (or an ambient :func:`collect_telemetry` journal)
+    receives one ``job_span`` event per job — cache hits included —
+    and one ``batch`` event with this batch's counts, worker count,
+    wall clock and a cache-stats snapshot.
     """
     if n_jobs < 1:
         raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
-    if telemetry is None:
-        telemetry = _ACTIVE_TELEMETRY
+    if journal is None:
+        journal = _ACTIVE_JOURNAL
     batch_start = time.time()
-    if telemetry is not None and telemetry._epoch is None:
-        telemetry._epoch = batch_start
-    epoch = (
-        telemetry._epoch if telemetry is not None else batch_start
-    )
+    if journal is not None and journal.epoch is None:
+        journal.epoch = batch_start
+    workers = 1
+    hits = 0
+
+    def emit_span(job, status: str, start: float, end: float) -> None:
+        # Offsets from the journal's first batch put every batch's
+        # spans (and pool workers' spans) on one timeline.
+        journal.emit(
+            "job_span",
+            workers=workers,
+            label=_job_label(job),
+            status=status,
+            start_s=round(start - journal.epoch, 6),
+            end_s=round(end - journal.epoch, 6),
+            wall_s=round(end - start, 6),
+        )
+
     results: List[Optional[ExperimentResult]] = [None] * len(jobs)
 
     # Cache probe; collect misses, collapsing duplicate keys.
@@ -776,14 +714,9 @@ def run_jobs(
             hit = cache.get(key, decode=decode)
             if hit is not None:
                 results[index] = hit
-                if telemetry is not None:
-                    telemetry.record_span({
-                        "label": _job_label(job),
-                        "status": "hit",
-                        "start_s": round(probe_start - epoch, 6),
-                        "end_s": round(time.time() - epoch, 6),
-                        "wall_s": round(time.time() - probe_start, 6),
-                    })
+                hits += 1
+                if journal is not None:
+                    emit_span(job, "hit", probe_start, time.time())
                 continue
         if key in pending:
             pending[key].append(index)
@@ -792,7 +725,6 @@ def run_jobs(
             pending_jobs.append(job)
 
     # Run the misses.
-    workers = 1
     if pending_jobs:
         if n_jobs == 1 or len(pending_jobs) == 1:
             finished = []
@@ -814,23 +746,21 @@ def run_jobs(
             key = keys[pending_index]
             if cache is not None:
                 cache.put(key, result)
-            if telemetry is not None:
-                telemetry.record_span({
-                    "label": _job_label(pending_jobs[pending_index]),
-                    "status": "run",
-                    "start_s": round(start - epoch, 6),
-                    "end_s": round(end - epoch, 6),
-                    "wall_s": round(end - start, 6),
-                })
+            if journal is not None:
+                emit_span(pending_jobs[pending_index], "run", start, end)
             for index in pending[key]:
                 results[index] = result
 
-    if telemetry is not None:
-        telemetry.workers = max(telemetry.workers, workers)
-        telemetry.wall_clock_s += time.time() - batch_start
-        if cache is not None:
-            telemetry.cache = cache.stats.to_dict()
-        telemetry.record_batch()
+    if journal is not None:
+        journal.emit(
+            "batch",
+            jobs=hits + len(pending_jobs),
+            hits=hits,
+            runs=len(pending_jobs),
+            workers=workers,
+            wall_clock_s=round(time.time() - batch_start, 6),
+            cache=cache.stats.to_dict() if cache is not None else None,
+        )
 
     return [r for r in results if r is not None]
 

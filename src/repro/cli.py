@@ -456,30 +456,25 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_dashboard(args) -> int:
-    """Render RunReports + harness telemetry as one static HTML page."""
-    import json
+    """Render RunReports + folded telemetry journals as one HTML page."""
+    from repro.obs import RunReport, journal_summary, read_journal, render_dashboard
 
-    from repro.obs import RunReport, load_coverage_docs, render_dashboard
-
-    reports = [RunReport.load(path) for path in args.reports]
-    telemetry = None
-    if args.telemetry:
-        with open(args.telemetry) as fh:
-            telemetry = json.load(fh)
-        if not isinstance(telemetry, dict):
-            raise SystemExit(
-                f"{args.telemetry!r} is not a telemetry JSON object"
-            )
-    coverage = []
-    for path in args.coverage or []:
-        with open(path) as fh:
-            try:
-                coverage.extend(load_coverage_docs(json.load(fh)))
-            except ValueError as exc:
-                raise SystemExit(f"{path!r}: {exc}") from None
+    reports = []
+    events = []
+    for path in args.inputs:
+        if not path.endswith(".jsonl"):
+            reports.append(RunReport.load(path))
+            continue
+        found = read_journal(path)
+        if not found:
+            raise SystemExit(f"{path!r} holds no journal events")
+        events.extend(found)
+    folded = journal_summary(events)
+    telemetry, coverage = folded["telemetry"], folded["coverage"]
     if not reports and telemetry is None and not coverage:
         raise SystemExit(
-            "dashboard needs report files, --telemetry, and/or --coverage"
+            "dashboard needs report files and/or journals with "
+            "run_jobs or campaign events"
         )
     html = render_dashboard(
         reports, telemetry=telemetry, coverage=coverage or None
@@ -619,7 +614,7 @@ def _cmd_crashcheck(args) -> int:
     }
     workload = cls(**params)
     config = _machine(args)
-    active_model = get_model(config.resolved_model)
+    active_model = get_model(config.model)
     if not active_model.enumerable:
         print(
             f"error: crash-state enumeration is not available under the "
@@ -671,17 +666,11 @@ def _cmd_crashcheck(args) -> int:
         samples = max(samples, 256)
 
     cache = _cache(args)
-    telemetry = None
-    if args.journal:
-        # Stream harness job spans into the same journal the workers
-        # append their per-point coverage ticks to.
-        from repro.analysis.runner import RunTelemetry
-        from repro.obs import TelemetryJournal
-
-        telemetry = RunTelemetry(journal=TelemetryJournal(path=args.journal))
     from repro.analysis.runner import collect_telemetry
 
-    with collect_telemetry(telemetry):
+    # Harness job spans go to the same journal the workers append their
+    # per-point coverage ticks to.
+    with collect_telemetry(args.journal):
         reports = run_crashcheck_campaign(
             workload,
             config,
@@ -743,24 +732,15 @@ def _cmd_crashcheck(args) -> int:
             title=f"{args.workload}: crash-state check",
         )
     )
-    coverages = {v: report.coverage() for v, report in reports.items()}
     print()
-    for cov in coverages.values():
-        print(f"  [coverage] {cov.summary()}")
+    for report in reports.values():
+        print(f"  [coverage] {report.coverage().summary()}")
     for variant, report in reports.items():
         for cex in report.counterexamples[:3]:
             print(f"\n  {cex.describe()}")
         extra = len(report.counterexamples) - 3
         if extra > 0:
             print(f"  ... and {extra} more for {variant}")
-    if args.coverage_out:
-        import json
-
-        docs = {cov.label: cov.to_dict() for cov in coverages.values()}
-        with open(args.coverage_out, "w") as fh:
-            json.dump(docs, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\n[coverage saved to {args.coverage_out}]")
     if args.cex_out:
         import json
 
@@ -880,12 +860,6 @@ def _cmd_litmus(args) -> int:
     print()
     for cov in coverages:
         print(f"  [coverage] {cov.summary()}")
-    if args.coverage_out:
-        docs = {cov.label: cov.to_dict() for cov in coverages}
-        with open(args.coverage_out, "w") as fh:
-            json.dump(docs, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\n[coverage saved to {args.coverage_out}]")
     for report in all_reports[:3]:
         shrunk = report.shrunk
         print(
@@ -954,7 +928,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from repro.analysis.runner import RunTelemetry, collect_telemetry
+    from repro.analysis.runner import collect_telemetry
 
     wl = _workload(args)
     cfg = _machine(args)
@@ -962,18 +936,11 @@ def _cmd_sweep(args) -> int:
     engine_opts = dict(
         n_jobs=args.jobs, cache=cache, obs_interval=args.obs_interval
     )
-    sink = None
-    if args.journal:
-        # Stream each job span / batch summary as it happens, instead
-        # of (only) one telemetry document at exit.
-        from repro.obs import TelemetryJournal
-
-        sink = RunTelemetry(journal=TelemetryJournal(path=args.journal))
-    with collect_telemetry(sink) as telemetry:
-        return _run_sweep(args, wl, cfg, cache, engine_opts, telemetry)
+    with collect_telemetry(args.journal) as journal:
+        return _run_sweep(args, wl, cfg, cache, engine_opts, journal)
 
 
-def _run_sweep(args, wl, cfg, cache, engine_opts, telemetry) -> int:
+def _run_sweep(args, wl, cfg, cache, engine_opts, journal) -> int:
     if args.kind == "checksum":
         out = sweeps.sweep_checksum(
             wl, cfg, available_engines(), num_threads=args.threads,
@@ -1029,20 +996,15 @@ def _run_sweep(args, wl, cfg, cache, engine_opts, telemetry) -> int:
     print(format_table(headers, rows, title=f"{args.workload}: {args.kind} sweep"))
     if cache is not None and cache.stats.lookups:
         print(f"\n[cache: {cache.stats.summary()} ({cache.root})]")
-    counts = telemetry.counts()
-    print(
-        f"[harness: {counts['jobs']} jobs ({counts['hits']} cache hits, "
-        f"{counts['runs']} runs) on {telemetry.workers} worker(s) in "
-        f"{telemetry.wall_clock_s:.2f}s, "
-        f"{100.0 * telemetry.utilization():.0f}% utilized]"
-    )
-    if args.telemetry_out:
-        import json
+    from repro.obs import journal_summary
 
-        with open(args.telemetry_out, "w") as fh:
-            json.dump(telemetry.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"[telemetry saved to {args.telemetry_out}]")
+    harness = journal_summary(journal.events)["telemetry"]["summary"]
+    print(
+        f"[harness: {harness['jobs']} jobs ({harness['hits']} cache hits, "
+        f"{harness['runs']} runs) on {harness['workers']} worker(s) in "
+        f"{harness['wall_clock_s']:.2f}s, "
+        f"{100.0 * harness['utilization']:.0f}% utilized]"
+    )
     return 0
 
 
@@ -1230,25 +1192,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dash = sub.add_parser(
         "dashboard",
-        help="render RunReports + harness telemetry as a self-contained "
-        "HTML dashboard (sparklines, heatmap bars, job timeline)",
+        help="render RunReports + telemetry journals as a self-contained "
+        "HTML dashboard (sparklines, heatmap bars, job timeline, "
+        "verification coverage)",
     )
     p_dash.add_argument(
-        "reports", nargs="*", metavar="REPORT.json",
-        help="RunReport files (from run/trace --report-out)",
+        "inputs", nargs="*", metavar="REPORT.json|JOURNAL.jsonl",
+        help="RunReport files (from run/trace --report-out) and "
+        "telemetry journals (*.jsonl, from --journal), folded together "
+        "in argument order",
     )
     p_dash.add_argument(
         "-o", "--out", default="dashboard.html", metavar="FILE",
         help="output HTML path (default: dashboard.html)",
-    )
-    p_dash.add_argument(
-        "--telemetry", default=None, metavar="FILE",
-        help="harness telemetry JSON (from sweep --telemetry-out)",
-    )
-    p_dash.add_argument(
-        "--coverage", action="append", default=None, metavar="FILE",
-        help="verification-coverage JSON (from crashcheck/litmus "
-        "--coverage-out; repeatable) rendered as a coverage panel",
     )
 
     p_watch = sub.add_parser(
@@ -1357,12 +1313,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cc.add_argument("--cleaner-period", type=float, default=None)
     p_cc.add_argument(
-        "--coverage-out", default=None, metavar="FILE",
-        help="write per-variant CoverageStats JSON (how much of the "
-        "crash-state space was checked) for `repro dashboard "
-        "--coverage`",
-    )
-    p_cc.add_argument(
         "--journal", default=None, metavar="FILE",
         help="append per-point campaign events and job spans to this "
         "JSONL telemetry journal while the campaign runs (tail it "
@@ -1419,11 +1369,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(exit 0 if it still diverges)",
     )
     p_litmus.add_argument(
-        "--coverage-out", default=None, metavar="FILE",
-        help="write per-model CoverageStats JSON (programs, images, "
-        "event-count epochs) for `repro dashboard --coverage`",
-    )
-    p_litmus.add_argument(
         "--journal", default=None, metavar="FILE",
         help="append one litmus_program event per cross-checked "
         "program to this JSONL telemetry journal (`repro watch`)",
@@ -1437,14 +1382,10 @@ def build_parser() -> argparse.ArgumentParser:
     engine_flags(p_sweep)
     obs_flag(p_sweep)
     p_sweep.add_argument(
-        "--telemetry-out", default=None, metavar="FILE",
-        help="write harness telemetry (per-job spans, cache stats, "
-        "worker utilization) as JSON for `repro dashboard --telemetry`",
-    )
-    p_sweep.add_argument(
         "--journal", default=None, metavar="FILE",
         help="also stream job spans and batch summaries to this JSONL "
-        "telemetry journal while the sweep runs (`repro watch`)",
+        "telemetry journal while the sweep runs (`repro watch`, "
+        "`repro dashboard`)",
     )
 
     p_idem = sub.add_parser(

@@ -27,11 +27,10 @@ split the workloads implement:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.sim.isa import Load, Op, RegionMark, Store
-from repro.sim.machine import Machine, ThreadGen
-from repro.sim.trace import Trace
+from repro.sim.machine import Machine
 
 
 @dataclass
@@ -90,8 +89,9 @@ class IdempotenceReport:
         }
 
 
-def analyze_trace(trace: Trace) -> IdempotenceReport:
-    """Split a recorded trace at RegionMarks and classify each region.
+def analyze_trace(ops: Sequence[Op]) -> IdempotenceReport:
+    """Split one thread's recorded ops at RegionMarks and classify
+    each region.
 
     Ops before the first mark form an implicit preamble region only if
     they touch memory; marker-only boundaries follow the convention the
@@ -99,7 +99,7 @@ def analyze_trace(trace: Trace) -> IdempotenceReport:
     """
     report = IdempotenceReport()
     current: Optional[RegionFootprint] = None
-    for op, _result in trace.events:
+    for op in ops:
         if isinstance(op, RegionMark):
             current = RegionFootprint(label=op.label)
             report.regions.append(current)
@@ -121,21 +121,22 @@ def classify_workload(
     num_threads: int = 1,
     engine: str = "modular",
 ) -> IdempotenceReport:
-    """Run a workload with tracing and classify its LP regions.
+    """Run a workload under a probe-bus recorder and classify its LP
+    regions.
 
-    The checksum-table commit at a region's end stores to a slot the
-    region never reads, so it cannot break idempotence; the data
-    accesses decide.
+    Thread ``i`` runs on core ``i``, so splitting the recorded ops by
+    core gives each thread's op sequence.  The checksum-table commit at
+    a region's end stores to a slot the region never reads, so it
+    cannot break idempotence; the data accesses decide.
     """
-    from repro.sim.trace import traced
+    from repro.obs import TraceRecorder, probed
 
     bound = workload.bind(machine, num_threads=num_threads, engine=engine)
-    traces = [Trace() for _ in range(num_threads)]
-    threads: List[ThreadGen] = [
-        traced(gen, tr) for gen, tr in zip(bound.threads(variant), traces)
-    ]
-    machine.run(threads)
+    recorder = TraceRecorder()
+    with probed(machine, [recorder]):
+        machine.run(bound.threads(variant))
     report = IdempotenceReport()
-    for tr in traces:
-        report.regions.extend(analyze_trace(tr).regions)
+    for core_id in range(num_threads):
+        ops = [ev.op for ev in recorder.ops if ev.core_id == core_id]
+        report.regions.extend(analyze_trace(ops).regions)
     return report

@@ -39,14 +39,15 @@ visibility without touching the simulator's hot path:
   100x fast path without per-event callbacks.
 * :mod:`repro.obs.dashboard` — ``render_dashboard``: run reports,
   harness telemetry, and verification coverage as one self-contained
-  HTML page (``repro dashboard``).
+  HTML page (``repro dashboard``, ``repro watch``).
 * :mod:`repro.obs.coverage` — :class:`CoverageStats`: how much of the
   crash-state space a crashcheck/litmus campaign actually checked
   (per-epoch exhaustive/sampled split, recovered vs diverged images,
   shrink effort, images/sec), built from the verify layer's reports.
-* :mod:`repro.obs.journal` — :class:`TelemetryJournal`: an append-only
+* :mod:`repro.obs.journal` — :class:`TelemetryJournal`: the append-only
   JSONL event stream ``run_jobs``, crashcheck, and litmus write
-  incrementally, with torn-line-tolerant tailing (``repro watch``).
+  incrementally, with torn-line-tolerant tailing, and
+  ``journal_summary``, the fold every telemetry view renders from.
 
 See ``docs/observability.md`` for the probe-bus contract, the trace
 schema, and the coverage/journal vocabularies.
@@ -66,7 +67,6 @@ from repro.obs.coverage import (
     coverage_of_campaign,
     coverage_of_crashcheck,
     coverage_of_litmus,
-    load_coverage_docs,
 )
 from repro.obs.events import (
     CleanerPass,
@@ -143,7 +143,6 @@ __all__ = [
     "coverage_of_campaign",
     "coverage_of_crashcheck",
     "coverage_of_litmus",
-    "load_coverage_docs",
     "TelemetryJournal",
     "journal_summary",
     "read_journal",

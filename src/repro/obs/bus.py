@@ -19,8 +19,7 @@ Observers implement any subset of the ``on_*`` methods::
 
 Subclassing :class:`ProbeObserver` is conventional, not required: any
 object whose *class* defines a channel method is subscribed to that
-channel (this is how :class:`repro.sim.trace.Trace` rides the bus
-without ``repro.sim`` importing ``repro.obs``).
+channel.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ exhaustive/sampled split fell per frontier epoch (event-count bucket),
 how many images recovered vs. diverged, how much shrinking the
 counterexamples took, and how fast the campaign ran (images/sec).
 
-:class:`CoverageStats` is a plain JSON-round-trippable document built
-three ways:
+:class:`CoverageStats` (a JSON-safe document via ``to_dict``) is built
+four ways:
 
 * :func:`coverage_of_crashcheck` from a
   :class:`~repro.verify.checker.CrashCheckReport` (one per variant);
@@ -16,9 +16,12 @@ three ways:
   :class:`~repro.analysis.crashlab.CrashCampaignResult` (each trial
   checks exactly one schedule image);
 * :func:`coverage_of_litmus` from a litmus
-  :class:`~repro.verify.litmus.ModelVerdict`.
+  :class:`~repro.verify.litmus.ModelVerdict`;
+* :func:`~repro.obs.journal.journal_summary` from the ``campaign_point``
+  and ``litmus_program`` events of a journal, through the same
+  :meth:`CoverageStats.add_point` accumulator.
 
-Each of those classes also exposes the same document as a
+The three report classes also expose their document as a
 ``.coverage()`` convenience method.  The invariants the test suite
 pins: per-epoch image counts sum to the campaign total, and each
 epoch's exhaustive flag equals the enumerator's own frontier decision
@@ -71,17 +74,6 @@ class EpochCoverage:
             "bound": self.bound,
             "exhaustive": self.exhaustive,
         }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "EpochCoverage":
-        return cls(
-            num_events=int(d["num_events"]),
-            points=int(d["points"]),
-            images_checked=int(d["images_checked"]),
-            images_diverged=int(d["images_diverged"]),
-            bound=int(d["bound"]),
-            exhaustive=bool(d["exhaustive"]),
-        )
 
 
 @dataclass
@@ -217,22 +209,6 @@ class CoverageStats:
             "epochs": [e.to_dict() for e in self.epochs],
         }
 
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "CoverageStats":
-        stats = cls(
-            label=str(d["label"]),
-            kind=str(d.get("kind", "crashcheck")),
-            points=int(d["points"]),
-            crashed_points=int(d["crashed_points"]),
-            images_checked=int(d["images_checked"]),
-            images_diverged=int(d["images_diverged"]),
-            counterexamples=int(d["counterexamples"]),
-            shrink_steps=int(d.get("shrink_steps", 0)),
-            wall_s=float(d.get("wall_s", 0.0)),
-            epochs=[EpochCoverage.from_dict(e) for e in d.get("epochs", [])],
-        )
-        return stats
-
     def summary(self) -> str:
         """One human line for CLI output and progress footers."""
         split = (
@@ -318,19 +294,3 @@ def coverage_of_litmus(verdict: "ModelVerdict") -> CoverageStats:
         )
     stats.wall_s = verdict.wall_s
     return stats
-
-
-def load_coverage_docs(payload: Any) -> List[Dict[str, Any]]:
-    """Normalize a loaded coverage JSON payload to a list of docs.
-
-    Accepts a single document, a list of documents, or a mapping of
-    label -> document (the ``--coverage-out`` shape for multi-variant
-    campaigns).
-    """
-    if isinstance(payload, list):
-        return [dict(doc) for doc in payload]
-    if isinstance(payload, dict) and "label" in payload:
-        return [dict(payload)]
-    if isinstance(payload, dict):
-        return [dict(doc) for doc in payload.values()]
-    raise ValueError(f"not a coverage document: {type(payload).__name__}")

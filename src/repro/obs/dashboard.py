@@ -1,10 +1,11 @@
-"""Static HTML dashboard over run manifests and harness telemetry.
+"""Static HTML dashboard over run manifests and journal folds.
 
 ``render_dashboard`` folds any set of :class:`~repro.obs.report.
-RunReport` manifests — plus an optional :class:`~repro.analysis.runner.
-RunTelemetry` document — into one self-contained HTML page: headline
-tiles, a metric comparison table, per-run interval sparklines (SVG,
-from each report's ``intervals`` series), per-region write/store bars
+RunReport` manifests — plus the telemetry and coverage documents
+:func:`~repro.obs.journal.journal_summary` folds from a journal — into
+one self-contained HTML page: headline tiles, a metric comparison
+table, per-run interval sparklines (SVG, from each report's
+``intervals`` series), per-region write/store bars
 (from ``heatmap``), a per-job timeline of the harness's spans
 (queue/run wall clock, cache hits vs full runs), and a verification-
 coverage panel (per-epoch bar strips + a scheme×workload grid over
@@ -13,8 +14,9 @@ assets, no scripts, no wall-clock timestamps — the page is a single
 byte-deterministic file that renders anywhere, including as a CI
 artifact.
 
-``repro dashboard REPORT.json ... -o dash.html`` is the CLI face;
-``repro watch JOURNAL`` re-renders it live from a telemetry journal.
+``repro dashboard REPORT.json ... JOURNAL.jsonl ... -o dash.html`` is
+the CLI face; ``repro watch JOURNAL`` re-renders it live from a
+journal that is still being written.
 """
 
 from __future__ import annotations
@@ -366,9 +368,8 @@ def render_dashboard(
 ) -> str:
     """The dashboard page (a complete HTML document) as a string.
 
-    ``telemetry`` is a :meth:`~repro.analysis.runner.RunTelemetry.
-    to_dict` document; when omitted, the first report carrying an
-    embedded ``telemetry`` snapshot supplies it.  ``coverage`` is a
+    ``telemetry`` is a :meth:`~repro.obs.journal.RunTelemetry.to_dict`
+    document (a journal fold's ``"telemetry"``).  ``coverage`` is a
     sequence of :meth:`~repro.obs.coverage.CoverageStats.to_dict`
     documents, rendered as a verification-coverage panel (per-epoch
     bar strips plus a scheme×workload grid).
@@ -382,11 +383,6 @@ def render_dashboard(
         raise ConfigError(
             "nothing to render: no reports, no telemetry, no coverage"
         )
-    if telemetry is None:
-        for report in reports:
-            if report.telemetry is not None:
-                telemetry = report.telemetry
-                break
 
     body: List[str] = ["<h1>repro run dashboard</h1>"]
     if reports:

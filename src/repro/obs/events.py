@@ -4,8 +4,8 @@ Each event names one observable fact about a run, stamped with the
 cycle it happened at.  Two layers feed the bus:
 
 * the **semantics layer**: one :class:`OpExecuted` per ISA op a core
-  retires (the machine-level successor of the old generator-wrapping
-  :func:`repro.sim.trace.traced` path), and one :class:`MemEvent` per
+  retires (what :class:`~repro.obs.recorder.TraceRecorder` records and
+  ``repro.core.idempotence`` analyses), and one :class:`MemEvent` per
   :mod:`repro.sim.events` ``MemoryEvent`` the op narrated to its
   timing view;
 * the **timing/accounting layer**: :class:`StallCharged` and

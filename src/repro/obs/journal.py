@@ -1,12 +1,11 @@
 """Streaming telemetry journal (``repro.obs.journal``).
 
-``repro sweep --telemetry-out`` writes one document at exit; a farm (or
-a human watching a nightly campaign) needs the same facts *while the
-run is still going*.  The journal is that substrate: an append-only
-JSONL file that ``run_jobs``, crashcheck campaigns, and the litmus
-harness write incrementally — one self-contained JSON object per line,
-flushed per event — and that ``repro watch`` tails to re-render the
-live dashboard.
+The journal is the one artefact for harness and coverage telemetry: an
+append-only JSONL file that ``run_jobs``, crashcheck campaigns, and the
+litmus harness write incrementally — one self-contained JSON object per
+line, flushed per event.  Every telemetry view is a fold of it: the
+sweep's ``[harness: ...]`` line, ``repro watch`` (which tails a journal
+while the run is still going) and ``repro dashboard``.
 
 Design constraints, in order:
 
@@ -30,8 +29,8 @@ Event vocabulary (the ``kind`` field):
     One :func:`~repro.analysis.runner.run_jobs` job finished (cache
     hits included) — the span dict plus the batch's worker count.
 ``batch``
-    One ``run_jobs`` batch finished: summary counters and a cache
-    snapshot.
+    One ``run_jobs`` batch finished: that batch's job/hit/run counts,
+    worker count and wall clock, plus a cache snapshot.
 ``campaign_point``
     The checker finished one crash point: event/image counts, the
     frontier decision, divergence and wall clock.
@@ -41,8 +40,8 @@ Event vocabulary (the ``kind`` field):
     The litmus harness cross-checked one program under one model.
 
 :func:`journal_summary` folds any event list into the documents the
-dashboard renders (a telemetry doc plus per-campaign coverage docs),
-mid-stream or complete.
+dashboard renders (a :class:`RunTelemetry` document plus per-campaign
+coverage docs), mid-stream or complete.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 from repro.obs.coverage import CoverageStats
@@ -79,6 +79,9 @@ class TelemetryJournal:
         self.stream = stream
         self.events: List[Dict[str, Any]] = []
         self._seq = 0
+        #: ``time.time()`` at the start of the first ``run_jobs`` batch
+        #: written to this journal; job span offsets count from it.
+        self.epoch: Optional[float] = None
 
     def emit(self, kind: str, **fields: Any) -> Dict[str, Any]:
         """Append one event; returns the event dict."""
@@ -185,6 +188,71 @@ def read_journal(path: str) -> List[Dict[str, Any]]:
 # ----------------------------------------------------------------------
 
 
+@dataclass
+class RunTelemetry:
+    """Harness telemetry folded from a journal's ``run_jobs`` events.
+
+    Records what the *harness* did — not what the simulator measured:
+    one span per job (queue-to-finish wall clock, cache hit or full
+    run), the largest worker count, the summed batch wall clock, and
+    the latest snapshot of the cache's hit/miss counters.  Built by
+    :func:`journal_summary`; rendered by ``repro dashboard``.
+
+    Spans are plain dicts (JSON-safe)::
+
+        {"label": "tmm/lp", "status": "run" | "hit",
+         "start_s": 0.0, "end_s": 1.7, "wall_s": 1.7}
+
+    ``start_s``/``end_s`` are offsets from the journal's first batch,
+    on the shared wall clock, so pool workers' spans line up on one
+    timeline.
+    """
+
+    workers: int = 1
+    wall_clock_s: float = 0.0
+    spans: List[Dict[str, Any]] = field(default_factory=list)
+    cache: Optional[Dict[str, Any]] = None
+
+    def busy_s(self) -> float:
+        """Total span wall clock (summed over workers)."""
+        return sum(float(span.get("wall_s", 0.0)) for span in self.spans)
+
+    def utilization(self) -> float:
+        """Busy fraction of the worker pool over the batch wall clock."""
+        capacity = self.workers * self.wall_clock_s
+        return self.busy_s() / capacity if capacity > 0 else 0.0
+
+    def counts(self) -> Dict[str, int]:
+        out = {"jobs": len(self.spans), "hits": 0, "runs": 0}
+        for span in self.spans:
+            if span.get("status") == "hit":
+                out["hits"] += 1
+            else:
+                out["runs"] += 1
+        return out
+
+    def summary(self) -> Dict[str, Any]:
+        """Flat headline dict (CLI output, dashboard tiles)."""
+        out: Dict[str, Any] = dict(self.counts())
+        out["workers"] = self.workers
+        out["wall_clock_s"] = round(self.wall_clock_s, 4)
+        out["busy_s"] = round(self.busy_s(), 4)
+        out["utilization"] = round(self.utilization(), 4)
+        if self.cache is not None:
+            out["cache"] = dict(self.cache)
+        return out
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-safe document (the dashboard's ``telemetry=``)."""
+        return {
+            "workers": self.workers,
+            "wall_clock_s": round(self.wall_clock_s, 6),
+            "spans": [dict(span) for span in self.spans],
+            "cache": dict(self.cache) if self.cache is not None else None,
+            "summary": self.summary(),
+        }
+
+
 def journal_summary(events: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Fold journal events into the documents the dashboard renders.
 
@@ -194,10 +262,9 @@ def journal_summary(events: List[Dict[str, Any]]) -> Dict[str, Any]:
     coverage accumulated so far; the accumulator is
     :meth:`CoverageStats.add_point`, the same one the report-side
     builders use, so the final fold reconciles with the campaign's own
-    coverage document.
+    coverage document.  ``batch`` events are per batch, so wall clocks
+    add up across batches.
     """
-    from repro.analysis.runner import RunTelemetry
-
     spans: List[Dict[str, Any]] = []
     workers = 1
     wall_clock_s = 0.0

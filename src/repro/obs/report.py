@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.config import MachineConfig
 
 #: Bumped when the report layout changes incompatibly.
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 #: Metrics the comparison table normalizes against the first report.
 _NORMALIZED_METRICS = ("exec_cycles", "nvmm_writes")
@@ -60,10 +60,6 @@ class RunReport:
     intervals: Optional[Dict[str, object]] = None
     #: Write-attribution document (``ExperimentResult.heatmap``).
     heatmap: Optional[Dict[str, object]] = None
-    #: Harness telemetry snapshot (:meth:`repro.analysis.runner.
-    #: RunTelemetry.to_dict`) when the run went through an
-    #: instrumented ``run_jobs`` batch.
-    telemetry: Optional[Dict[str, object]] = None
     #: How stream-tier observability was actually derived:
     #: ``"stream"`` (batch derivation), ``"probe-bus"`` (fell back to
     #: per-event probes), or None (machine tier / not applicable).
@@ -83,7 +79,6 @@ class RunReport:
         engine: str = "modular",
         wall_clock_s: float = 0.0,
         workload_params: Optional[Dict[str, object]] = None,
-        telemetry: Optional[Dict[str, object]] = None,
     ) -> "RunReport":
         """Build the report for one ``run_variant`` outcome."""
         from repro.analysis.runner import code_version
@@ -110,7 +105,6 @@ class RunReport:
             workload_params=dict(workload_params or {}),
             intervals=result.intervals,
             heatmap=result.heatmap,
-            telemetry=telemetry,
             obs_path=result.obs_path,
             obs_fallback_reason=result.obs_fallback_reason,
         )

@@ -114,7 +114,7 @@ class Hierarchy:
         #: Persistency model: gates the flush path (eADR-class models
         #: make clflushopt/clwb no-ops) and the write-through store
         #: path (strict persistency).
-        self.model = get_model(config.resolved_model)
+        self.model = get_model(config.model)
         self.l1s: List[Cache] = [
             Cache(config.l1, name=f"L1[{i}]") for i in range(config.num_cores)
         ]

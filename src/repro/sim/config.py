@@ -14,7 +14,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 
 from repro.errors import ConfigError
-from repro.sim.model import DEFAULT_MODEL, PERSISTENCY_MODELS, get_model
+from repro.sim.model import DEFAULT_MODEL, PERSISTENCY_MODELS
 
 #: Cache line size in bytes.  Fixed at 64B throughout the paper.
 LINE_BYTES = 64
@@ -71,8 +71,6 @@ class NVMMConfig:
     read_service_cycles: float = 10.0
     write_queue_depth: int = 64
     read_queue_depth: int = 32
-    #: ADR: a write accepted into the MC write queue is durable (paper II-A).
-    adr: bool = True
 
     def __post_init__(self) -> None:
         if self.read_cycles < 0 or self.write_cycles < 0:
@@ -171,19 +169,6 @@ class MachineConfig:
                 f"unknown persistency model {self.model!r}; "
                 f"available: {', '.join(PERSISTENCY_MODELS)}"
             )
-        # nvmm.adr=False predates the model axis and means exactly the
-        # pre-ADR platform.  Forbid contradictory combinations; the
-        # resolved_model property folds the legacy flag in.
-        if self.model == "pre_adr" and self.nvmm.adr:
-            raise ConfigError(
-                "model='pre_adr' requires nvmm.adr=False "
-                "(use MachineConfig.with_model to set both)"
-            )
-        if not self.nvmm.adr and self.model not in ("adr", "pre_adr"):
-            raise ConfigError(
-                f"nvmm.adr=False (the pre-ADR platform) contradicts "
-                f"model={self.model!r}"
-            )
 
     def with_l2_size(self, size_bytes: int) -> "MachineConfig":
         """Return a copy with a different L2 capacity (Fig 15a sweep)."""
@@ -221,32 +206,8 @@ class MachineConfig:
         return replace(self, timing=timing)
 
     def with_model(self, model: str) -> "MachineConfig":
-        """Return a copy running under a different persistency model.
-
-        Keeps the legacy ``nvmm.adr`` flag consistent: the pre-ADR
-        platform is the one model where durability waits for device
-        completion (MC undo records), and that is what ``adr=False``
-        has always meant.
-        """
-        m = get_model(model)
-        return replace(
-            self,
-            model=model,
-            nvmm=replace(self.nvmm, adr=not m.mc_undo),
-        )
-
-    @property
-    def resolved_model(self) -> str:
-        """The persistency model actually in effect.
-
-        Folds the legacy ``nvmm.adr=False`` spelling (which predates
-        the model axis) into the model namespace: an explicit
-        ``adr=False`` with the default model means the pre-ADR
-        platform.
-        """
-        if not self.nvmm.adr and self.model == "adr":
-            return "pre_adr"
-        return self.model
+        """Return a copy running under a different persistency model."""
+        return replace(self, model=model)
 
     def cache_key(self) -> str:
         """Canonical serialization of every timing-relevant field.

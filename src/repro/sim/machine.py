@@ -142,9 +142,8 @@ class Machine:
             config,
             self.stats.ledger,
         )
-        #: Persistency model in effect (see :mod:`repro.sim.model`);
-        #: resolved_model folds the legacy nvmm.adr=False spelling in.
-        self.pmodel = get_model(config.resolved_model)
+        #: Persistency model in effect (see :mod:`repro.sim.model`).
+        self.pmodel = get_model(config.model)
         #: eADR-class models persist at store time; the flag lives on
         #: the value store so every execution tier (heap scheduler,
         #: replay loop, op-stream interpreter) inherits it through the

@@ -6,7 +6,7 @@ persistence domain: the instant a line is accepted its data is
 durable, so that is where the simulator copies architectural values
 into the persistent image and counts an NVMM write.
 
-With ``adr=False`` the model reverts to the pre-ADR (pcommit-era)
+Under ``model="pre_adr"`` the MC models the pre-ADR (pcommit-era)
 platform the paper contrasts against: a write is durable only when the
 NVMM device *completes* it.  Acceptance still copies data into the
 persistent image (the common case is no crash), but every write leaves
@@ -73,13 +73,9 @@ class MemoryController:
         self.timing = (
             timing if timing is not None else DetailedMCTiming(config)
         )
-        #: Persistency model; directly constructed MCs (tests) derive
-        #: it from the legacy adr flag: True -> ADR, False -> pre-ADR.
-        self.model = (
-            model
-            if model is not None
-            else get_model("adr" if config.adr else "pre_adr")
-        )
+        #: Persistency model; directly constructed MCs (tests) default
+        #: to the paper's ADR platform.
+        self.model = model if model is not None else get_model("adr")
         #: pre-ADR only: rollback records for in-flight writes.
         self._undo: List[_UndoRecord] = []
 

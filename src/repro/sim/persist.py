@@ -177,18 +177,7 @@ class PersistOrderTracker:
     the crash snapshot from the cache hierarchy.
     """
 
-    def __init__(
-        self,
-        mem: MemoryState,
-        model: str = "adr",
-        *,
-        adr: Optional[bool] = None,
-    ) -> None:
-        # ``adr=`` predates the model axis: adr=True is the default ADR
-        # platform, adr=False the pre-ADR one.  Kept so existing
-        # constructions keep meaning what they always did.
-        if adr is not None:
-            model = "adr" if adr else "pre_adr"
+    def __init__(self, mem: MemoryState, model: str = "adr") -> None:
         self.mem = mem
         self.model = get_model(model)
         self._next_eid = 0
@@ -198,11 +187,6 @@ class PersistOrderTracker:
         self._epoch_of: Dict[int, int] = {}
         #: Per-core epoch counter, bumped by each retired fence.
         self._core_epoch: Dict[int, int] = {}
-
-    @property
-    def adr(self) -> bool:
-        """Legacy view: True unless this is the pre-ADR platform."""
-        return not self.model.mc_undo
 
     # -- hooks ------------------------------------------------------------
 

@@ -5,7 +5,7 @@ any requested observability (``obs_path == "stream"``) — or fall back
 to the machine path with the *reason* surfaced on the result and
 warned about.  Never a silent downgrade.  The runner side: ``Job``
 carries the tier into its cache key (stream results must not alias
-machine results), and ``run_jobs`` records harness telemetry spans.
+machine results), and ``run_jobs`` journals harness telemetry spans.
 """
 
 import dataclasses
@@ -22,12 +22,18 @@ from repro.analysis.runner import (
     CacheStats,
     Job,
     ResultCache,
-    RunTelemetry,
     collect_telemetry,
     run_jobs,
 )
 from repro.errors import ConfigError
-from repro.obs import IntervalSampler, StallFlame, TraceRecorder, WriteHeatmap
+from repro.obs import (
+    IntervalSampler,
+    StallFlame,
+    TelemetryJournal,
+    TraceRecorder,
+    WriteHeatmap,
+    journal_summary,
+)
 from repro.sim.config import tiny_machine
 from repro.workloads import get_workload
 
@@ -182,39 +188,44 @@ class TestTelemetry:
 
     def test_run_jobs_records_spans(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        telemetry = RunTelemetry()
-        run_jobs(self._jobs(), n_jobs=1, cache=cache, telemetry=telemetry)
-        assert [s["status"] for s in telemetry.spans] == ["run", "run"]
-        assert telemetry.counts() == {"jobs": 2, "hits": 0, "runs": 2}
-        assert telemetry.wall_clock_s > 0
-        assert 0 < telemetry.utilization() <= 1.0
-        assert [s["label"] for s in telemetry.spans] == ["tmm/lp", "tmm/ep"]
-        for span in telemetry.spans:
+        journal = TelemetryJournal()
+        run_jobs(self._jobs(), n_jobs=1, cache=cache, journal=journal)
+        telemetry = journal_summary(journal.events)["telemetry"]
+        assert [s["status"] for s in telemetry["spans"]] == ["run", "run"]
+        summary = telemetry["summary"]
+        assert (summary["jobs"], summary["hits"], summary["runs"]) == (2, 0, 2)
+        assert telemetry["wall_clock_s"] > 0
+        assert 0 < summary["utilization"] <= 1.0
+        labels = [s["label"] for s in telemetry["spans"]]
+        assert labels == ["tmm/lp", "tmm/ep"]
+        for span in telemetry["spans"]:
             assert span["end_s"] >= span["start_s"] >= 0.0
 
     def test_cache_hits_recorded_as_hit_spans(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        telemetry = RunTelemetry()
+        journal = TelemetryJournal()
         run_jobs(self._jobs(), n_jobs=1, cache=cache)
-        run_jobs(self._jobs(), n_jobs=1, cache=cache, telemetry=telemetry)
-        assert [s["status"] for s in telemetry.spans] == ["hit", "hit"]
-        assert telemetry.cache is not None
-        assert telemetry.cache["hits"] == 2
+        run_jobs(self._jobs(), n_jobs=1, cache=cache, journal=journal)
+        telemetry = journal_summary(journal.events)["telemetry"]
+        assert [s["status"] for s in telemetry["spans"]] == ["hit", "hit"]
+        assert telemetry["cache"] is not None
+        assert telemetry["cache"]["hits"] == 2
 
     def test_batches_accumulate_on_one_clock(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        with collect_telemetry() as telemetry:
+        with collect_telemetry() as journal:
             for job in self._jobs():
                 run_jobs([job], n_jobs=1, cache=cache)
-        assert telemetry.counts()["jobs"] == 2
-        starts = [s["start_s"] for s in telemetry.spans]
+        telemetry = journal_summary(journal.events)["telemetry"]
+        assert telemetry["summary"]["jobs"] == 2
+        starts = [s["start_s"] for s in telemetry["spans"]]
         assert starts == sorted(starts)
 
     def test_to_dict_round_trip_shape(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        with collect_telemetry() as telemetry:
+        with collect_telemetry() as journal:
             run_jobs(self._jobs(), n_jobs=1, cache=cache)
-        doc = telemetry.to_dict()
+        doc = journal_summary(journal.events)["telemetry"]
         assert doc["workers"] == 1
         assert len(doc["spans"]) == 2
         assert doc["summary"]["jobs"] == 2

@@ -10,7 +10,6 @@ from repro.core.idempotence import (
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.isa import Compute, Load, RegionMark, Store
 from repro.sim.machine import Machine
-from repro.sim.trace import Trace
 from repro.workloads import get_workload
 
 
@@ -55,13 +54,8 @@ class TestFootprint:
 
 
 class TestAnalyzeTrace:
-    def make_trace(self, ops):
-        t = Trace()
-        t.events = [(op, None) for op in ops]
-        return t
-
     def test_splits_at_marks(self):
-        trace = self.make_trace(
+        report = analyze_trace(
             [
                 RegionMark("r0"),
                 Store(64, 1.0),
@@ -70,7 +64,6 @@ class TestAnalyzeTrace:
                 Store(64, 2.0),
             ]
         )
-        report = analyze_trace(trace)
         assert [r.label for r in report.regions] == ["r0", "r1"]
         assert report.regions[0].is_idempotent
         assert not report.regions[1].is_idempotent
@@ -82,13 +75,11 @@ class TestAnalyzeTrace:
         }
 
     def test_preamble_region(self):
-        trace = self.make_trace([Store(64, 1.0), RegionMark("r0"), Load(64)])
-        report = analyze_trace(trace)
+        report = analyze_trace([Store(64, 1.0), RegionMark("r0"), Load(64)])
         assert report.regions[0].label == "<preamble>"
 
     def test_compute_ops_ignored(self):
-        trace = self.make_trace([RegionMark("r0"), Compute(4)])
-        report = analyze_trace(trace)
+        report = analyze_trace([RegionMark("r0"), Compute(4)])
         assert report.regions[0].loads == 0
 
 

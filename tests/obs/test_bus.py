@@ -73,7 +73,7 @@ class TestSubscription:
 
     def test_duck_typed_observer_subscribes(self):
         # No ProbeObserver inheritance: any class defining on_op rides
-        # the op channel (this is how repro.sim.trace.Trace plugs in).
+        # the op channel.
         class Duck:
             def __init__(self):
                 self.seen = []

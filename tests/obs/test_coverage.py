@@ -5,8 +5,8 @@ over the verification layer's own reports.  These tests pin the fold
 — per-epoch sums equal campaign totals, the exhaustive/sampled split
 equals the enumerator's frontier decision, bounds dominate image
 counts — across three workloads and both sound and broken variants,
-plus the single-image campaign and litmus builders and the JSON
-round trip.
+plus the single-image campaign and litmus builders and the round trip
+through the journal.
 """
 
 import pytest
@@ -19,8 +19,8 @@ from repro.obs.coverage import (
     coverage_of_campaign,
     coverage_of_crashcheck,
     coverage_of_litmus,
-    load_coverage_docs,
 )
+from repro.obs.journal import TelemetryJournal, journal_summary
 from repro.sim.config import tiny_machine
 from repro.sim.crash import CrashPlan
 from repro.verify import EnumerationPlan, check_variant
@@ -244,26 +244,33 @@ class TestLitmusCoverage:
 
 
 class TestSerialization:
+    POINTS = [
+        dict(num_events=3, images_checked=8, bound=10, exhaustive=True,
+             wall_s=0.5),
+        dict(num_events=3, images_checked=4, images_diverged=1, bound=8,
+             exhaustive=True, counterexamples=1, shrink_steps=2,
+             wall_s=0.25),
+        dict(num_events=20, images_checked=19, bound=19, exhaustive=False,
+             wall_s=1.0),
+        dict(num_events=0, images_checked=0, crashed=False),
+    ]
+
     def doc(self):
         cov = CoverageStats(label="w/v")
-        cov.add_point(3, 8, bound=10, exhaustive=True, wall_s=0.5)
-        cov.add_point(3, 4, images_diverged=1, bound=8, exhaustive=True,
-                      counterexamples=1, shrink_steps=2, wall_s=0.25)
-        cov.add_point(20, 19, bound=19, exhaustive=False, wall_s=1.0)
-        cov.add_point(0, 0, crashed=False)
+        for point in self.POINTS:
+            cov.add_point(**point)
         return cov
 
     def test_round_trip(self):
-        cov = self.doc()
-        data = cov.to_dict()
+        """The journal is the document's serialization: the same points
+        emitted as ``campaign_point`` events fold back to it exactly."""
+        data = self.doc().to_dict()
         assert data["format"] == COVERAGE_FORMAT_VERSION
-        back = CoverageStats.from_dict(data)
-        assert back.to_dict() == data
-        assert back.images_recovered == cov.images_recovered
-        assert back.enumeration_bound == cov.enumeration_bound
-        assert back.exhaustive_fraction() == pytest.approx(
-            cov.exhaustive_fraction()
-        )
+        journal = TelemetryJournal()
+        for point in self.POINTS:
+            journal.emit("campaign_point", label="w/v", **point)
+        (back,) = journal_summary(journal.events)["coverage"]
+        assert back == data
 
     def test_derived_fields_recompute(self):
         cov = self.doc()
@@ -281,8 +288,14 @@ class TestSerialization:
     def test_epoch_round_trip(self):
         epoch = EpochCoverage(5, points=2, images_checked=7,
                               images_diverged=1, bound=9, exhaustive=True)
-        assert EpochCoverage.from_dict(epoch.to_dict()) == epoch
         assert epoch.images_recovered == 6
+        journal = TelemetryJournal()
+        journal.emit("campaign_point", label="w/v", num_events=5,
+                     images_checked=4, images_diverged=1, bound=5)
+        journal.emit("campaign_point", label="w/v", num_events=5,
+                     images_checked=3, bound=4)
+        (doc,) = journal_summary(journal.events)["coverage"]
+        assert doc["epochs"] == [epoch.to_dict()]
 
     def test_summary_mentions_label_and_images(self):
         cov = self.doc()
@@ -290,11 +303,3 @@ class TestSerialization:
         assert "w/v" in line
         assert "31 images" in line
         assert "img/s" in line
-
-    def test_load_coverage_docs_shapes(self):
-        doc = self.doc().to_dict()
-        assert load_coverage_docs(doc) == [doc]
-        assert load_coverage_docs([doc, doc]) == [doc, doc]
-        assert load_coverage_docs({"a": doc}) == [doc]
-        with pytest.raises(ValueError):
-            load_coverage_docs("nope")

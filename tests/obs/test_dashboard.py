@@ -39,9 +39,7 @@ def obs_report():
         _wl(), config, "lp", num_threads=2,
         obs_interval=500.0, tier="stream",
     )
-    return RunReport.from_result(
-        result, config, wall_clock_s=0.2, telemetry=TELEMETRY
-    )
+    return RunReport.from_result(result, config, wall_clock_s=0.2)
 
 
 class TestRenderDashboard:
@@ -68,11 +66,6 @@ class TestRenderDashboard:
         assert "job timeline" in page
         assert "span-hit" in page and "span-run" in page
         assert "cache hit rate" in page
-
-    def test_telemetry_falls_back_to_report_snapshot(self, obs_report):
-        assert obs_report.telemetry is not None
-        page = render_dashboard([obs_report])
-        assert "Harness telemetry" in page
 
     def test_telemetry_only_page(self):
         page = render_dashboard([], telemetry=TELEMETRY)
@@ -223,7 +216,6 @@ class TestReportObsFields:
         assert loaded == obs_report
         assert loaded.intervals == obs_report.intervals
         assert loaded.heatmap == obs_report.heatmap
-        assert loaded.telemetry == TELEMETRY
 
     def test_plain_reports_omit_nothing_silently(self):
         config = tiny_machine()
@@ -231,4 +223,3 @@ class TestReportObsFields:
         report = RunReport.from_result(result, config, wall_clock_s=0.1)
         assert report.intervals is None
         assert report.heatmap is None
-        assert report.telemetry is None

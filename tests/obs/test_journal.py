@@ -10,13 +10,14 @@ its cache key with a silent one.
 
 import json
 import os
+import time
 
 import pytest
 
 from repro.analysis.runner import (
     CrashCheckJob,
     Job,
-    RunTelemetry,
+    collect_telemetry,
     run_jobs,
 )
 from repro.obs.journal import (
@@ -265,12 +266,11 @@ class TestCheckerJournaling:
 class TestHarnessJournaling:
     def test_run_jobs_streams_spans_and_batch(self, tmp_path):
         path = str(tmp_path / "jobs.jsonl")
-        telemetry = RunTelemetry(journal=TelemetryJournal(path=path))
         jobs = [
             Job(small_tmm(), tiny_machine(), variant, num_threads=2)
             for variant in ("lp", "ep")
         ]
-        run_jobs(jobs, telemetry=telemetry)
+        run_jobs(jobs, journal=TelemetryJournal(path=path))
         events = read_journal(path)
         spans = [e for e in events if e["kind"] == "job_span"]
         batches = [e for e in events if e["kind"] == "batch"]
@@ -280,6 +280,35 @@ class TestHarnessJournaling:
         assert batches[0]["jobs"] == 2
         folded = journal_summary(events)
         assert len(folded["telemetry"]["spans"]) == 2
+
+    def test_multi_batch_fold_counts_each_batch_once(self):
+        """Each ``batch`` event carries its own batch's wall clock, so a
+        fold over several batches adds every batch exactly once and
+        utilization stays a fraction of the pool's capacity."""
+        jobs = [
+            Job(small_tmm(), tiny_machine(), variant, num_threads=2)
+            for variant in ("base", "lp", "ep")
+        ]
+        elapsed = []
+        with collect_telemetry() as journal:
+            for job in jobs:
+                start = time.time()
+                run_jobs([job])
+                elapsed.append(time.time() - start)
+        batches = [e for e in journal.events if e["kind"] == "batch"]
+        assert [b["jobs"] for b in batches] == [1, 1, 1]
+        for batch, outer in zip(batches, elapsed):
+            assert batch["wall_clock_s"] <= outer + 1e-6
+        telemetry = journal_summary(journal.events)["telemetry"]
+        wall = telemetry["wall_clock_s"]
+        assert wall == pytest.approx(sum(b["wall_clock_s"] for b in batches))
+        assert wall <= sum(elapsed) + 1e-6
+        busy = sum(span["wall_s"] for span in telemetry["spans"])
+        utilization = telemetry["summary"]["utilization"]
+        assert utilization == pytest.approx(
+            busy / (telemetry["workers"] * wall), abs=1e-4
+        )
+        assert 0 < utilization <= 1.0
 
 
 class TestCacheKeyIsolation:

@@ -47,7 +47,6 @@ class TestNVMMConfig:
         assert cfg.write_cycles == 600.0
         assert cfg.write_queue_depth == 64
         assert cfg.read_queue_depth == 32
-        assert cfg.adr
 
     def test_rejects_negative_latency(self):
         with pytest.raises(ConfigError):

@@ -1,7 +1,7 @@
 """Tests for the pluggable persistency-model matrix (repro.sim.model).
 
 Covers the registry itself, the config plumbing (validation,
-``with_model``, ``resolved_model``, cache-key back-compat), and the
+``with_model``, cache-key back-compat), and the
 observable per-model machine semantics: who owns the persistence
 domain, what flush/fence mean, and which models admit crash-state
 enumeration.
@@ -14,12 +14,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.sim.address import element_addrs_of_line
 from repro.sim.coherence import _L1_HIT, Access
-from repro.sim.config import (
-    LINE_BYTES,
-    CacheConfig,
-    MachineConfig,
-    NVMMConfig,
-)
+from repro.sim.config import LINE_BYTES, CacheConfig, MachineConfig
 from repro.sim.isa import Fence, Flush, Store
 from repro.sim.machine import Machine
 from repro.sim.model import (
@@ -110,27 +105,32 @@ class TestConfigPlumbing:
         with pytest.raises(ConfigError):
             MachineConfig(model="bogus")
 
-    def test_pre_adr_requires_legacy_flag(self):
-        with pytest.raises(ConfigError, match="pre_adr"):
-            MachineConfig(model="pre_adr")  # nvmm.adr defaults to True
-
-    def test_legacy_flag_contradicts_other_models(self):
-        with pytest.raises(ConfigError, match="contradicts"):
-            MachineConfig(model="eadr", nvmm=NVMMConfig(adr=False))
-
-    def test_with_model_keeps_legacy_flag_consistent(self):
-        cfg = MachineConfig()
-        assert cfg.with_model("pre_adr").nvmm.adr is False
-        assert cfg.with_model("eadr").nvmm.adr is True
-        # round-tripping back to adr restores the flag
-        assert cfg.with_model("pre_adr").with_model("adr").nvmm.adr is True
-
-    def test_resolved_model_folds_legacy_spelling(self):
-        assert MachineConfig().resolved_model == "adr"
-        legacy = MachineConfig(nvmm=NVMMConfig(adr=False))
-        assert legacy.model == "adr"  # field untouched
-        assert legacy.resolved_model == "pre_adr"
-        assert MachineConfig().with_model("epoch").resolved_model == "epoch"
+    def test_pre_adr_builds_like_with_model(self):
+        """``model="pre_adr"`` is the one spelling of the pre-ADR
+        platform: built directly, it equals the ``with_model`` copy and
+        runs, crashes and rolls back exactly like it."""
+        geometry = dict(
+            num_cores=1,
+            l1=CacheConfig(4096, 8, hit_cycles=2.0),
+            l2=CacheConfig(16384, 8, hit_cycles=11.0),
+        )
+        direct = MachineConfig(model="pre_adr", **geometry)
+        derived = MachineConfig(**geometry).with_model("pre_adr")
+        assert direct == derived
+        outcomes = []
+        for cfg in (direct, derived):
+            m = Machine(cfg)
+            assert m.mc.model.name == "pre_adr"
+            assert m.persist_tracker is None
+            region = m.alloc("a", 16)
+            res = m.run([flushing_writer(region, 8)], crash_at_op=12)
+            post = m.after_crash()
+            outcomes.append((
+                res.exec_cycles,
+                m.stats.nvmm_writes,
+                [post.arch_value(region.addr(i)) for i in range(8)],
+            ))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestCacheKeyIsolation:
@@ -255,15 +255,6 @@ class TestTrackerModelAxis:
             mem.store(addr, value)
         tracker.on_accept(line, "flush", core_id, time)
         mem.persist_line(line)
-
-    def test_legacy_adr_kwarg_maps_to_models(self):
-        mem = self.make_state()
-        assert PersistOrderTracker(mem, adr=True).model.name == "adr"
-        legacy = PersistOrderTracker(mem, adr=False)
-        assert legacy.model.name == "pre_adr"
-        assert legacy.adr is False
-        with pytest.raises(ConfigError, match="pre_adr"):
-            legacy.snapshot(dirty_line_addrs=[], crash_time=0.0)
 
     def test_fence_absorbs_superseded_cross_core_flush(self):
         """Core B's fenced flush of a line supersedes core A's *older*

@@ -1,4 +1,4 @@
-"""Tests for the pre-ADR (pcommit-era) persistence model (adr=False).
+"""Tests for the pre-ADR (pcommit-era) persistence model (pre_adr).
 
 Under ADR a write is durable at MC acceptance; without it, durability
 waits for the NVMM device to finish the write, fences take the full
@@ -18,7 +18,8 @@ def machine(adr=True, write_cycles=600.0):
             num_cores=1,
             l1=CacheConfig(512, 2, hit_cycles=2.0),
             l2=CacheConfig(2048, 2, hit_cycles=11.0),
-            nvmm=NVMMConfig(adr=adr, write_cycles=write_cycles),
+            nvmm=NVMMConfig(write_cycles=write_cycles),
+            model="adr" if adr else "pre_adr",
         )
     )
 

@@ -34,7 +34,7 @@ def accept_flush(mem, tracker, line, core_id, time, value):
 class TestTrackerHooks:
     def test_flush_is_pending_until_fence(self):
         mem = make_state()
-        tracker = PersistOrderTracker(mem, adr=True)
+        tracker = PersistOrderTracker(mem)
         accept_flush(mem, tracker, LINE_A, core_id=0, time=10.0, value=1.0)
         assert tracker.pending_flush_count == 1
         tracker.on_fence(core_id=0, now=20.0)
@@ -42,7 +42,7 @@ class TestTrackerHooks:
 
     def test_fence_is_per_core(self):
         mem = make_state()
-        tracker = PersistOrderTracker(mem, adr=True)
+        tracker = PersistOrderTracker(mem)
         accept_flush(mem, tracker, LINE_A, core_id=0, time=10.0, value=1.0)
         accept_flush(mem, tracker, LINE_B, core_id=1, time=11.0, value=2.0)
         tracker.on_fence(core_id=0, now=20.0)
@@ -50,7 +50,7 @@ class TestTrackerHooks:
 
     def test_fence_only_covers_earlier_flushes(self):
         mem = make_state()
-        tracker = PersistOrderTracker(mem, adr=True)
+        tracker = PersistOrderTracker(mem)
         accept_flush(mem, tracker, LINE_A, core_id=0, time=30.0, value=1.0)
         tracker.on_fence(core_id=0, now=20.0)  # retired before the accept
         assert tracker.pending_flush_count == 1
@@ -59,7 +59,7 @@ class TestTrackerHooks:
         # An eviction/cleaner writeback of the same line supersedes the
         # flush uncertainty: the line is durable either way.
         mem = make_state()
-        tracker = PersistOrderTracker(mem, adr=True)
+        tracker = PersistOrderTracker(mem)
         accept_flush(mem, tracker, LINE_A, core_id=0, time=10.0, value=1.0)
         tracker.on_accept(LINE_A, "cleaner", None, 15.0)
         assert tracker.pending_flush_count == 0
@@ -68,7 +68,7 @@ class TestTrackerHooks:
 class TestSnapshot:
     def test_floor_undoes_pending_flushes_newest_first(self):
         mem = make_state()
-        tracker = PersistOrderTracker(mem, adr=True)
+        tracker = PersistOrderTracker(mem)
         accept_flush(mem, tracker, LINE_A, core_id=0, time=10.0, value=1.0)
         accept_flush(mem, tracker, LINE_A, core_id=0, time=12.0, value=2.0)
         space = tracker.snapshot(dirty_line_addrs=[], crash_time=20.0)
@@ -81,7 +81,7 @@ class TestSnapshot:
 
     def test_fenced_flush_is_floor_not_event(self):
         mem = make_state()
-        tracker = PersistOrderTracker(mem, adr=True)
+        tracker = PersistOrderTracker(mem)
         accept_flush(mem, tracker, LINE_A, core_id=0, time=10.0, value=3.0)
         tracker.on_fence(core_id=0, now=11.0)
         space = tracker.snapshot(dirty_line_addrs=[], crash_time=20.0)
@@ -90,7 +90,7 @@ class TestSnapshot:
 
     def test_dirty_lines_become_events(self):
         mem = make_state()
-        tracker = PersistOrderTracker(mem, adr=True)
+        tracker = PersistOrderTracker(mem)
         for addr in element_addrs_of_line(LINE_B):
             mem.store(addr, 9.0)
         space = tracker.snapshot(dirty_line_addrs=[LINE_B], crash_time=30.0)
@@ -102,7 +102,7 @@ class TestSnapshot:
 
     def test_image_for_applies_newest_chosen_version(self):
         mem = make_state()
-        tracker = PersistOrderTracker(mem, adr=True)
+        tracker = PersistOrderTracker(mem)
         accept_flush(mem, tracker, LINE_A, core_id=0, time=10.0, value=1.0)
         accept_flush(mem, tracker, LINE_A, core_id=0, time=12.0, value=2.0)
         space = tracker.snapshot(dirty_line_addrs=[], crash_time=20.0)
@@ -112,7 +112,7 @@ class TestSnapshot:
         assert space.image_for([first, second])[LINE_A] == 2.0
 
     def test_non_adr_snapshot_refused(self):
-        tracker = PersistOrderTracker(make_state(), adr=False)
+        tracker = PersistOrderTracker(make_state(), "pre_adr")
         with pytest.raises(ConfigError):
             tracker.snapshot(dirty_line_addrs=[], crash_time=0.0)
 

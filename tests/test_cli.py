@@ -512,10 +512,9 @@ class TestDashboardCLI:
     TINY = TestObservability.TINY
 
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["dashboard", "a.json"])
-        assert args.reports == ["a.json"]
+        args = build_parser().parse_args(["dashboard", "a.json", "j.jsonl"])
+        assert args.inputs == ["a.json", "j.jsonl"]
         assert args.out == "dashboard.html"
-        assert args.telemetry is None
 
     def _report(self, tmp_path, variant="lp"):
         path = tmp_path / f"{variant}.report.json"
@@ -537,17 +536,19 @@ class TestDashboardCLI:
 
     def test_accepts_sweep_telemetry(self, capsys, tmp_path):
         report = self._report(tmp_path)
-        telemetry = tmp_path / "telemetry.json"
+        journal = tmp_path / "sweep.jsonl"
         assert main(["sweep", "checksum", "tmm", "--threads", "2",
                      "-p", "n=16", "--no-cache",
-                     "--telemetry-out", str(telemetry)]) == 0
+                     "--journal", str(journal)]) == 0
         out = tmp_path / "dash.html"
         capsys.readouterr()
-        assert main(["dashboard", report, "--telemetry", str(telemetry),
+        assert main(["dashboard", report, str(journal),
                      "-o", str(out)]) == 0
+        assert "telemetry" in capsys.readouterr().out
         page = out.read_text()
         assert "Harness telemetry" in page
         assert "job timeline" in page
+        assert "tmm/lp" in page
 
     def test_nothing_to_render_fails(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -555,10 +556,10 @@ class TestDashboardCLI:
 
     def test_malformed_telemetry_fails(self, tmp_path):
         report = self._report(tmp_path)
-        bad = tmp_path / "bad.json"
-        bad.write_text("[1, 2]")
-        with pytest.raises(SystemExit):
-            main(["dashboard", report, "--telemetry", str(bad)])
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("[1, 2]\n")
+        with pytest.raises(SystemExit, match="no journal events"):
+            main(["dashboard", report, str(bad)])
 
     def test_sweep_prints_harness_summary(self, capsys, tmp_path):
         assert main(["sweep", "checksum", "tmm", "--threads", "2",
@@ -575,11 +576,9 @@ class TestCoverageAndWatchCLI:
 
     def test_parser_defaults(self):
         cc = build_parser().parse_args(["crashcheck"])
-        assert cc.coverage_out is None
         assert cc.journal is None
         assert cc.progress is False
         lit = build_parser().parse_args(["litmus"])
-        assert lit.coverage_out is None
         assert lit.journal is None
         sweep = build_parser().parse_args(["sweep", "checksum", "tmm"])
         assert sweep.journal is None
@@ -589,46 +588,31 @@ class TestCoverageAndWatchCLI:
         assert watch.once is False
         assert watch.interval == 0.5
 
-    def test_crashcheck_coverage_out_and_summary(self, capsys, tmp_path):
-        import json
-
-        cov_path = tmp_path / "cov.json"
-        assert main([*self.CC, "--coverage-out", str(cov_path)]) == 0
-        out = capsys.readouterr().out
-        assert "[coverage]" in out
-        assert "images over" in out
-        docs = json.loads(cov_path.read_text())
-        assert "tmm/ep" in docs
-        doc = docs["tmm/ep"]
-        assert doc["images_checked"] > 0
-        assert doc["epochs"]
-        # The printed summary and the saved doc agree.
-        assert f"{doc['images_checked']} images" in out
-
     def test_progress_ticks_go_to_stderr(self, capsys):
         assert main([*self.CC, "--progress"]) == 0
         captured = capsys.readouterr()
         assert "[coverage]" in captured.err
         assert "images (events=" in captured.err
 
-    def test_journal_reconciles_with_coverage_out(self, capsys, tmp_path):
-        import json
-
+    def test_journal_vs_printed_coverage(self, capsys, tmp_path):
         from repro.obs import journal_summary, read_journal
 
-        cov_path = tmp_path / "cov.json"
         journal_path = tmp_path / "cc.jsonl"
-        assert main([*self.CC, "--coverage-out", str(cov_path),
-                     "--journal", str(journal_path)]) == 0
+        assert main([*self.CC, "--journal", str(journal_path)]) == 0
+        out = capsys.readouterr().out
         folded = journal_summary(read_journal(str(journal_path)))
-        (from_journal,) = [
-            d for d in folded["coverage"] if d["label"] == "tmm/ep"
-        ]
-        saved = json.loads(cov_path.read_text())["tmm/ep"]
-        for doc in (from_journal, saved):
-            doc.pop("wall_s")
-            doc.pop("images_per_sec")
-        assert from_journal == saved
+        (doc,) = folded["coverage"]
+        assert doc["label"] == "tmm/ep"
+        assert doc["images_checked"] > 0
+        assert doc["epochs"]
+        # The [coverage] line crashcheck prints comes from the report;
+        # the journal fold must agree with it.
+        assert (
+            f"[coverage] tmm/ep: {doc['images_checked']} images over "
+            f"{doc['points']} points"
+        ) in out
+        assert f"{doc['images_diverged']} diverged" in out
+        assert folded["telemetry"]["summary"]["jobs"] == 1
 
     def test_journal_does_not_change_results(self, capsys, tmp_path):
         assert main(list(self.CC)) == 0
@@ -642,24 +626,27 @@ class TestCoverageAndWatchCLI:
             journaled.split("[coverage]")[0]
         )
 
-    def test_litmus_coverage_out(self, capsys, tmp_path):
-        import json
+    def test_litmus_journal_coverage(self, capsys, tmp_path):
+        from repro.obs import journal_summary, read_journal
 
-        cov_path = tmp_path / "lit.json"
+        journal_path = tmp_path / "lit.jsonl"
         assert main(["litmus", "--models", "adr", "--limit", "8",
                      "--max-ops", "2", "--threads", "1",
-                     "--coverage-out", str(cov_path)]) == 0
-        docs = json.loads(cov_path.read_text())
-        assert docs["adr"]["kind"] == "litmus"
-        assert docs["adr"]["images_checked"] > 0
+                     "--journal", str(journal_path)]) == 0
+        out = capsys.readouterr().out
+        (doc,) = journal_summary(read_journal(str(journal_path)))["coverage"]
+        assert doc["label"] == "adr"
+        assert doc["kind"] == "litmus"
+        assert doc["images_checked"] > 0
+        assert f"[coverage] adr: {doc['images_checked']} images" in out
 
     def test_dashboard_renders_coverage_files(self, capsys, tmp_path):
-        cov_path = tmp_path / "cov.json"
-        assert main([*self.CC, "--coverage-out", str(cov_path)]) == 0
+        journal_path = tmp_path / "cc.jsonl"
+        assert main([*self.CC, "--journal", str(journal_path)]) == 0
         out = tmp_path / "dash.html"
         capsys.readouterr()
-        assert main(["dashboard", "--coverage", str(cov_path),
-                     "-o", str(out)]) == 0
+        assert main(["dashboard", str(journal_path), "-o", str(out)]) == 0
+        assert "1 coverage doc(s)" in capsys.readouterr().out
         page = out.read_text()
         assert "Verification coverage" in page
         assert "tmm" in page
@@ -713,8 +700,7 @@ class TestCoverageAndWatchCLI:
         assert "waiting for journal events" in out.read_text()
 
     def test_malformed_coverage_file_fails(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('"just a string"')
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('"just a string"\n')
         with pytest.raises(SystemExit):
-            main(["dashboard", "--coverage", str(bad),
-                  "-o", str(tmp_path / "d.html")])
+            main(["dashboard", str(bad), "-o", str(tmp_path / "d.html")])

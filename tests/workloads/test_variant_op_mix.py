@@ -5,12 +5,14 @@ LP adds computes and plain stores only; EP adds clflushopt + sfence;
 WAL adds logging stores on top.
 """
 
+from collections import Counter
+
 import pytest
 
+from repro.obs import TraceRecorder, probed
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.isa import Fence, Flush, FlushWB, Store
 from repro.sim.machine import Machine
-from repro.sim.trace import Trace, traced
 from repro.workloads import get_workload
 
 SPECS = {
@@ -22,7 +24,8 @@ SPECS = {
 }
 
 
-def run_traced(name, variant, threads=1):
+def op_mix(name, variant, threads=1):
+    """Retired-op counts by ISA type, recorded on the probe bus."""
     wl = get_workload(name)(**SPECS[name])
     m = Machine(
         MachineConfig(
@@ -32,13 +35,11 @@ def run_traced(name, variant, threads=1):
         )
     )
     bound = wl.bind(m, num_threads=threads)
-    traces = [Trace() for _ in range(threads)]
-    m.run([traced(g, t) for g, t in zip(bound.threads(variant), traces)])
+    recorder = TraceRecorder()
+    with probed(m, [recorder]):
+        m.run(bound.threads(variant))
     assert bound.verify()
-    merged = Trace()
-    for t in traces:
-        merged.events.extend(t.events)
-    return merged
+    return Counter(type(ev.op) for ev in recorder.ops)
 
 
 class TestTableOne:
@@ -47,16 +48,16 @@ class TestTableOne:
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_lp_issues_no_flushes_or_fences(self, name):
-        trace = run_traced(name, "lp")
-        assert trace.count(Flush) == 0
-        assert trace.count(FlushWB) == 0
-        assert trace.count(Fence) == 0
+        ops = op_mix(name, "lp")
+        assert ops[Flush] == 0
+        assert ops[FlushWB] == 0
+        assert ops[Fence] == 0
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_ep_issues_flushes_and_fences(self, name):
-        trace = run_traced(name, "ep")
-        assert trace.count(Flush) + trace.count(FlushWB) > 0
-        assert trace.count(Fence) > 0
+        ops = op_mix(name, "ep")
+        assert ops[Flush] + ops[FlushWB] > 0
+        assert ops[Fence] > 0
 
 
 class TestTmmAccounting:
@@ -65,28 +66,28 @@ class TestTmmAccounting:
         marker: bsize-elem strides at 8 elems/line = 1 line each."""
         n, b = SPECS["tmm"]["n"], SPECS["tmm"]["bsize"]
         tiles = n // b
-        trace = run_traced("tmm", "ep")
+        ops = op_mix("tmm", "ep")
         strides = tiles * tiles * tiles * b  # per (kk,ii,jj): b rows
         markers = tiles * tiles * tiles  # one per tile transaction
-        assert trace.count(Flush) == strides + markers
+        assert ops[Flush] == strides + markers
 
     def test_ep_fence_count_formula(self):
         n, b = SPECS["tmm"]["n"], SPECS["tmm"]["bsize"]
         tiles = n // b
-        trace = run_traced("tmm", "ep")
+        ops = op_mix("tmm", "ep")
         # two fences per tile transaction (data fence + marker fence)
-        assert trace.count(Fence) == 2 * tiles * tiles * tiles
+        assert ops[Fence] == 2 * tiles * tiles * tiles
 
     def test_wal_store_amplification(self):
         """WAL stores ~3x the data stores: log addr + log value + data
         (plus status/count bookkeeping)."""
-        base_stores = run_traced("tmm", "base").count(Store)
-        wal_stores = run_traced("tmm", "wal").count(Store)
+        base_stores = op_mix("tmm", "base")[Store]
+        wal_stores = op_mix("tmm", "wal")[Store]
         assert wal_stores > 2.8 * base_stores
 
     def test_lp_store_overhead_is_one_checksum_per_region(self):
         n, b = SPECS["tmm"]["n"], SPECS["tmm"]["bsize"]
         tiles = n // b
-        base_stores = run_traced("tmm", "base").count(Store)
-        lp_stores = run_traced("tmm", "lp").count(Store)
+        base_stores = op_mix("tmm", "base")[Store]
+        lp_stores = op_mix("tmm", "lp")[Store]
         assert lp_stores == base_stores + tiles * tiles  # one per region
