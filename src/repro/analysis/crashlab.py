@@ -197,11 +197,13 @@ def run_crashcheck_campaign(
     ``campaign_point`` events from the workers (a shared append-only
     JSONL file / stderr ticks); both are deliberately *not* part of
     the job cache key, so journaled campaigns hit the same cache
-    entries as silent ones.  Cached variants emit no point events —
-    their spans still reach the journal via ``run_jobs`` telemetry.
+    entries as silent ones.  A variant the cache serves runs in no
+    worker, so its stored points are journaled here once ``run_jobs``
+    returns: warm or cold, the journal holds every variant's points.
     """
     from repro.analysis.runner import CrashCheckJob, run_jobs
     from repro.verify import CrashCheckReport, plan_to_dict
+    from repro.verify.checker import journal_point
 
     if timing is not None:
         config = config.with_timing(timing)
@@ -233,7 +235,21 @@ def run_crashcheck_campaign(
                 progress=progress,
             )
         )
-    reports = run_jobs(
-        jobs, n_jobs=n_jobs, cache=cache, decode=CrashCheckReport.from_dict
-    )
+    served: List[CrashCheckReport] = []
+
+    def decode(doc):
+        # The cache decodes only the reports it serves.
+        report = CrashCheckReport.from_dict(doc)
+        served.append(report)
+        return report
+
+    reports = run_jobs(jobs, n_jobs=n_jobs, cache=cache, decode=decode)
+    if served and (journal_path is not None or progress):
+        from repro.obs.journal import TelemetryJournal
+
+        journal = TelemetryJournal(path=journal_path, progress=progress)
+        for report in served:
+            label = f"{report.workload}/{report.variant}"
+            for point in report.points:
+                journal_point(journal, label, point)
     return dict(zip(variants, reports))

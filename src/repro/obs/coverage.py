@@ -38,10 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.verify.checker import CrashCheckReport
     from repro.verify.litmus import ModelVerdict
 
-#: Bumped when the coverage-document layout changes.
-COVERAGE_FORMAT_VERSION = 1
-
-
 @dataclass
 class EpochCoverage:
     """Coverage rolled up over all crash points with one event count.
@@ -188,7 +184,6 @@ class CoverageStats:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "format": COVERAGE_FORMAT_VERSION,
             "label": self.label,
             "kind": self.kind,
             "points": self.points,

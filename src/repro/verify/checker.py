@@ -444,30 +444,39 @@ def check_variant(
         )
         report.points.append(point)
         if journal is not None:
-            journal.emit(
-                "campaign_point",
-                label=label,
-                crash=describe_plan(plan_from_dict(point.crash)),
-                crashed=point.crashed,
-                num_events=point.num_events,
-                images_checked=point.images_checked,
-                images_diverged=point.images_diverged,
-                bound=point.bound,
-                exhaustive=point.exhaustive,
-                counterexamples=len(point.counterexamples),
-                shrink_steps=point.shrink_steps,
-                wall_s=round(point.wall_s, 6),
-            )
-            for cex in point.counterexamples:
-                journal.emit(
-                    "counterexample",
-                    label=label,
-                    description=cex.describe(),
-                    crash=dict(cex.crash),
-                )
+            journal_point(journal, label, point)
         if stop_on_failure and not point.ok:
             break
     return report
+
+
+def journal_point(journal: Any, label: str, point: CrashPointReport) -> None:
+    """Write one finished crash point to ``journal``: its
+    ``campaign_point`` event, then a ``counterexample`` event per
+    shrunk failure.  :func:`check_variant` calls it as each point
+    finishes; a campaign replays a cache-served report's points through
+    it, so both journal the same events."""
+    journal.emit(
+        "campaign_point",
+        label=label,
+        crash=describe_plan(plan_from_dict(point.crash)),
+        crashed=point.crashed,
+        num_events=point.num_events,
+        images_checked=point.images_checked,
+        images_diverged=point.images_diverged,
+        bound=point.bound,
+        exhaustive=point.exhaustive,
+        counterexamples=len(point.counterexamples),
+        shrink_steps=point.shrink_steps,
+        wall_s=round(point.wall_s, 6),
+    )
+    for cex in point.counterexamples:
+        journal.emit(
+            "counterexample",
+            label=label,
+            description=cex.describe(),
+            crash=dict(cex.crash),
+        )
 
 
 def replay_counterexample(

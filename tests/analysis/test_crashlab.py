@@ -194,3 +194,49 @@ class TestCrashcheckCampaign:
         report = reports["ep_nofence"]
         assert not report.ok
         assert all(len(c.minimized_eids) >= 1 for c in report.counterexamples)
+
+    def test_journal_folds_to_each_report_coverage(self, tmp_path):
+        # Cold, pool workers journal the points as they check them;
+        # warm, the cache serves every report and the campaign journals
+        # the stored points.  Either way each variant's fold is its
+        # report's whole coverage document.
+        from repro.analysis.crashlab import run_crashcheck_campaign
+        from repro.analysis.runner import ResultCache, collect_telemetry
+        from repro.obs import journal_summary, read_journal
+
+        kwargs = dict(
+            op_points=1,
+            max_flush_points=12,
+            max_exhaustive_events=10,
+            samples=4,
+            num_threads=2,
+            n_jobs=2,
+        )
+        workload = TiledMatMul(n=8, bsize=4, kk_tiles=1)
+        for hits, run in ((0, "cold"), (2, "warm")):
+            cache = ResultCache(str(tmp_path / "cache"))
+            path = str(tmp_path / f"{run}.jsonl")
+            # As `repro crashcheck --journal` runs it: job spans and
+            # points go to one file.
+            with collect_telemetry(path):
+                reports = run_crashcheck_campaign(
+                    workload, config(), ["ep", "ep_nofence"], cache=cache,
+                    journal_path=path, **kwargs
+                )
+            assert cache.stats.hits == hits
+            assert not reports["ep_nofence"].ok
+            folded = journal_summary(read_journal(path))
+            docs = {doc["label"]: doc for doc in folded["coverage"]}
+            assert set(docs) == {"tmm/ep", "tmm/ep_nofence"}
+            for variant, report in reports.items():
+                from_journal = docs[f"tmm/{variant}"]
+                from_report = report.coverage().to_dict()
+                # wall_s is rounded per event line; the rest is exact.
+                for doc in (from_journal, from_report):
+                    doc.pop("wall_s")
+                    doc.pop("images_per_sec")
+                assert from_journal == from_report, (run, variant)
+            assert len(folded["counterexamples"]) == sum(
+                len(r.counterexamples) for r in reports.values()
+            )
+            assert folded["telemetry"]["summary"]["hits"] == hits

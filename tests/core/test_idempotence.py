@@ -106,6 +106,30 @@ class TestWorkloadClassification:
             f"got {report.summary()}"
         )
 
+    @pytest.mark.parametrize(
+        "name,kwargs",
+        [
+            ("conv2d", dict(n=12, ksize=3, row_block=2)),
+            ("tmm", dict(n=16, bsize=8)),
+            ("gauss", dict(n=8, row_block=4)),
+        ],
+    )
+    def test_two_threads_see_the_one_thread_regions(self, name, kwargs):
+        # These kernels cut the same regions at any thread count, so
+        # splitting a two-core recording by core must give back every
+        # region with the footprint counts of a one-thread run.
+        def regions(num_threads):
+            wl = get_workload(name)(**kwargs)
+            report = classify_workload(wl, machine(), num_threads=num_threads)
+            return sorted(
+                (r.label, r.is_idempotent, r.loads, r.store_ops)
+                for r in report.regions
+            )
+
+        two = regions(2)
+        assert len(two) > 1
+        assert two == regions(1)
+
     def test_tmm_violations_are_the_c_accumulations(self):
         wl = get_workload("tmm")(n=16, bsize=8)
         bound_probe = wl.bind(machine(), num_threads=1)

@@ -13,7 +13,6 @@ import pytest
 
 from repro.analysis.crashlab import CrashCampaignResult, CrashTrial
 from repro.obs.coverage import (
-    COVERAGE_FORMAT_VERSION,
     CoverageStats,
     EpochCoverage,
     coverage_of_campaign,
@@ -265,7 +264,6 @@ class TestSerialization:
         """The journal is the document's serialization: the same points
         emitted as ``campaign_point`` events fold back to it exactly."""
         data = self.doc().to_dict()
-        assert data["format"] == COVERAGE_FORMAT_VERSION
         journal = TelemetryJournal()
         for point in self.POINTS:
             journal.emit("campaign_point", label="w/v", **point)

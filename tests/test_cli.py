@@ -597,22 +597,32 @@ class TestCoverageAndWatchCLI:
     def test_journal_vs_printed_coverage(self, capsys, tmp_path):
         from repro.obs import journal_summary, read_journal
 
-        journal_path = tmp_path / "cc.jsonl"
-        assert main([*self.CC, "--journal", str(journal_path)]) == 0
-        out = capsys.readouterr().out
-        folded = journal_summary(read_journal(str(journal_path)))
-        (doc,) = folded["coverage"]
-        assert doc["label"] == "tmm/ep"
-        assert doc["images_checked"] > 0
-        assert doc["epochs"]
-        # The [coverage] line crashcheck prints comes from the report;
-        # the journal fold must agree with it.
-        assert (
-            f"[coverage] tmm/ep: {doc['images_checked']} images over "
-            f"{doc['points']} points"
-        ) in out
-        assert f"{doc['images_diverged']} diverged" in out
-        assert folded["telemetry"]["summary"]["jobs"] == 1
+        argv = [a for a in self.CC if a != "--no-cache"]
+        argv += ["--cache-dir", str(tmp_path / "cache")]
+        folds = []
+        # The result cache serves the second run: no worker checks the
+        # variant, yet its journal must carry the same points.
+        for run, hits in (("cold", 0), ("warm", 1)):
+            journal_path = tmp_path / f"{run}.jsonl"
+            assert main([*argv, "--journal", str(journal_path)]) == 0
+            out = capsys.readouterr().out
+            assert f"[cache: {hits}/1 hits" in out
+            folded = journal_summary(read_journal(str(journal_path)))
+            (doc,) = folded["coverage"]
+            assert doc["label"] == "tmm/ep"
+            assert doc["images_checked"] > 0
+            assert doc["epochs"]
+            # The [coverage] line crashcheck prints comes from the
+            # report; the journal fold must agree with it.
+            assert (
+                f"[coverage] tmm/ep: {doc['images_checked']} images over "
+                f"{doc['points']} points"
+            ) in out
+            assert f"{doc['images_diverged']} diverged" in out
+            assert folded["telemetry"]["summary"]["jobs"] == 1
+            assert folded["telemetry"]["summary"]["hits"] == hits
+            folds.append(folded["coverage"])
+        assert folds[1] == folds[0]
 
     def test_journal_does_not_change_results(self, capsys, tmp_path):
         assert main(list(self.CC)) == 0
