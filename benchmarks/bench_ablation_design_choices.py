@@ -12,9 +12,10 @@
   recovery work after the same crash.
 """
 
-from repro.analysis.crashlab import run_crash_campaign
 from repro.analysis.reporting import format_table
+from repro.sim.crash import CrashPlan
 from repro.sim.machine import Machine
+from repro.verify.checker import check_crash_point
 from repro.workloads.tmm import TiledMatMul
 
 from bench_common import NUM_THREADS, bench_run, machine_config, record
@@ -51,14 +52,15 @@ def run_design_ablation():
     # repair strategies under a crash with durable history (cleaner)
     repair = {}
     for mode in ("scratch", "incremental"):
-        campaign = run_crash_campaign(
+        repair[mode] = check_crash_point(
             TiledMatMul(n=64, bsize=8, repair=mode),
             machine_config(num_cores=5),
-            crash_points=[150_000],
+            "lp",
+            CrashPlan(at_op=150_000),
+            plan=None,
             num_threads=4,
             cleaner_period=5_000.0,
         )
-        repair[mode] = campaign
     return base, timings, spaces, repair
 
 
@@ -76,8 +78,8 @@ def test_ablation_design_choices(benchmark):
         for name, size in spaces.items()
     ]
     repair_rows = [
-        [mode, c.trials[0].recovery_ops, c.all_recovered]
-        for mode, c in repair.items()
+        [mode, p.recovery_ops, p.ok]
+        for mode, p in repair.items()
     ]
     text = "\n\n".join(
         [
@@ -105,9 +107,9 @@ def test_ablation_design_choices(benchmark):
     assert eager.writes_by_cause.get("flush", 0) > 0
     assert lazy.writes_by_cause.get("flush", 0) == 0
     assert eager.exec_cycles >= lazy.exec_cycles * 0.999
-    assert repair["incremental"].all_recovered
-    assert repair["scratch"].all_recovered
+    assert repair["incremental"].ok
+    assert repair["scratch"].ok
     assert (
-        repair["incremental"].trials[0].recovery_ops
-        <= repair["scratch"].trials[0].recovery_ops * 1.1
+        repair["incremental"].recovery_ops
+        <= repair["scratch"].recovery_ops * 1.1
     )

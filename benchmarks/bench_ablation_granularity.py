@@ -7,8 +7,9 @@ quantifies both sides: failure-free overhead per granularity, and
 recovery work after the same mid-run crash.
 """
 
-from repro.analysis.crashlab import run_crash_campaign
 from repro.analysis.reporting import format_table
+from repro.sim.crash import CrashPlan
+from repro.verify.checker import check_crash_point
 from repro.workloads.tmm import TiledMatMul
 
 from bench_common import NUM_THREADS, bench_run, machine_config, record
@@ -31,14 +32,16 @@ def run_granularity_ablation():
             "lp",
             num_threads=NUM_THREADS,
         )
-        campaign = run_crash_campaign(
+        point = check_crash_point(
             TiledMatMul(n=64, bsize=8, granularity=gran),
             machine_config(num_cores=5),
-            crash_points=[CRASH_POINT],
+            "lp",
+            CrashPlan(at_op=CRASH_POINT),
+            plan=None,
             num_threads=4,
             cleaner_period=5_000.0,
         )
-        out[gran] = (timing, campaign)
+        out[gran] = (timing, point)
     return base, out
 
 
@@ -48,14 +51,13 @@ def test_ablation_granularity(benchmark):
     )
     rows = []
     for gran in GRANULARITIES:
-        timing, campaign = results[gran]
-        trial = campaign.trials[0]
+        timing, point = results[gran]
         rows.append(
             [
                 gran,
                 round(timing.exec_cycles / base.exec_cycles, 4),
-                trial.recovery_ops,
-                trial.recovered_ok,
+                point.recovery_ops,
+                point.ok,
             ]
         )
     record(
@@ -67,12 +69,12 @@ def test_ablation_granularity(benchmark):
         ),
     )
     for gran in GRANULARITIES:
-        timing, campaign = results[gran]
-        assert campaign.all_recovered
+        timing, point = results[gran]
+        assert point.ok
         assert timing.exec_cycles / base.exec_cycles < 1.10
     # larger regions must not redo less work than smaller ones after
     # the same crash (kk loses at least what ii loses)
     assert (
-        results["kk"][1].trials[0].recovery_ops
-        >= results["ii"][1].trials[0].recovery_ops * 0.9
+        results["kk"][1].recovery_ops
+        >= results["ii"][1].recovery_ops * 0.9
     )

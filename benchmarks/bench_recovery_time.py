@@ -9,12 +9,12 @@ work — the quantitative other half of Figure 11's write-overhead
 trade-off.
 """
 
-from repro.analysis.crashlab import run_crash_campaign
 from repro.analysis.reporting import format_table
 from repro.sim.cleaner import PeriodicCleaner
 from repro.sim.config import scaled_machine, tiny_machine
 from repro.sim.crash import CrashPlan, run_to_crash_space
 from repro.sim.machine import Machine
+from repro.verify.checker import check_crash_point
 from repro.verify.graph import count_ideals
 from repro.workloads.tmm import TiledMatMul
 
@@ -25,14 +25,19 @@ CRASH_POINT = 120_000  # ops; mid-run for the n=64 full TMM below
 
 
 def run_recovery_ablation():
+    # The schedule's one image, recovered on a full machine: the table
+    # reports modelled recovery cycles.
     out = {}
     for period in PERIODS:
-        out[period] = run_crash_campaign(
+        out[period] = check_crash_point(
             TiledMatMul(n=64, bsize=8),
             scaled_machine(num_cores=5),
-            crash_points=[CRASH_POINT],
+            "lp",
+            CrashPlan(at_op=CRASH_POINT),
+            plan=None,
             num_threads=4,
             cleaner_period=period,
+            replay=False,
         )
     return out
 
@@ -41,14 +46,14 @@ def test_recovery_time_vs_cleaner(benchmark):
     results = benchmark.pedantic(run_recovery_ablation, rounds=1, iterations=1)
     rows = []
     for period in PERIODS:
-        trial = results[period].trials[0]
+        point = results[period]
         rows.append(
             [
                 "none" if period is None else f"{period:.0f} cyc",
-                trial.writes_before_crash,
-                trial.recovery_ops,
-                round(trial.recovery_cycles, 0),
-                results[period].all_recovered,
+                point.writes_before_crash,
+                point.recovery_ops,
+                round(point.recovery_cycles, 0),
+                point.ok,
             ]
         )
     record(
@@ -65,12 +70,9 @@ def test_recovery_time_vs_cleaner(benchmark):
             title="Ablation: cleaner period vs recovery cost (LP TMM)",
         ),
     )
-    assert all(r.all_recovered for r in results.values())
+    assert all(p.ok for p in results.values())
     # a frequent cleaner must not recover slower than no cleaner
-    assert (
-        results[PERIODS[0]].trials[0].recovery_ops
-        <= results[None].trials[0].recovery_ops
-    )
+    assert results[PERIODS[0]].recovery_ops <= results[None].recovery_ops
 
 
 # -- crash-state uncertainty vs cleaner period -------------------------------

@@ -11,10 +11,11 @@ two sides of the trade-off: extra NVMM writes vs recovery work.
 Run:  python examples/periodic_cleaner.py
 """
 
-from repro.analysis.crashlab import run_crash_campaign
 from repro.analysis.experiments import run_variant
 from repro.analysis.reporting import format_table
 from repro.sim.config import scaled_machine
+from repro.sim.crash import CrashPlan
+from repro.verify import check_crash_point
 from repro.workloads.tmm import TiledMatMul
 
 PERIODS = [1_000.0, 10_000.0, 50_000.0, None]
@@ -34,17 +35,17 @@ def main() -> None:
     for period in PERIODS:
         run = run_variant(tmm(), cfg, "lp", num_threads=4,
                           cleaner_period=period, drain=True)
-        campaign = run_crash_campaign(
-            tmm(), cfg, crash_points=[250_000], num_threads=4,
-            cleaner_period=period,
+        # plan=None: check the one image the crash left behind
+        point = check_crash_point(
+            tmm(), cfg, "lp", CrashPlan(at_op=250_000), plan=None,
+            num_threads=4, cleaner_period=period,
         )
-        trial = campaign.trials[0]
         rows.append(
             [
                 "none" if period is None else f"{period:.0f}",
                 round(run.total_writes / baseline.total_writes, 3),
-                trial.recovery_ops,
-                trial.recovered_ok,
+                point.recovery_ops,
+                point.ok,
             ]
         )
     print(

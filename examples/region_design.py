@@ -15,12 +15,13 @@ Two questions decide how to apply Lazy Persistency to a kernel:
 Run:  python examples/region_design.py
 """
 
-from repro.analysis.crashlab import run_crash_campaign
 from repro.analysis.experiments import run_variant
 from repro.analysis.reporting import format_table
 from repro.core.idempotence import classify_workload
 from repro.sim.config import scaled_machine
+from repro.sim.crash import CrashPlan
 from repro.sim.machine import Machine
+from repro.verify import check_crash_point
 from repro.workloads import get_workload
 from repro.workloads.tmm import TiledMatMul
 
@@ -69,10 +70,13 @@ def main() -> None:
             TiledMatMul(n=48, bsize=8, granularity=gran),
             cfg, "lp", num_threads=4,
         )
-        campaign = run_crash_campaign(
+        # plan=None: check the one image the crash left behind
+        point = check_crash_point(
             TiledMatMul(n=48, bsize=8, granularity=gran),
             cfg,
-            crash_points=[150_000],
+            "lp",
+            CrashPlan(at_op=150_000),
+            plan=None,
             num_threads=4,
             cleaner_period=4_000.0,
         )
@@ -80,8 +84,8 @@ def main() -> None:
             [
                 gran,
                 round(timing.exec_cycles / base.exec_cycles, 4),
-                campaign.trials[0].recovery_ops,
-                campaign.all_recovered,
+                point.recovery_ops,
+                point.ok,
             ]
         )
     print()

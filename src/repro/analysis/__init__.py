@@ -3,7 +3,6 @@ format results the way the paper's tables and figures report them."""
 
 from repro.analysis.experiments import ExperimentResult, compare_variants, run_variant
 from repro.analysis.reporting import format_table, geomean, normalize
-from repro.analysis.crashlab import CrashCampaignResult, run_crash_campaign
 from repro.analysis.sweep import (
     sweep_checksum,
     sweep_cleaner_period,
@@ -19,8 +18,6 @@ __all__ = [
     "format_table",
     "geomean",
     "normalize",
-    "CrashCampaignResult",
-    "run_crash_campaign",
     "sweep_checksum",
     "sweep_cleaner_period",
     "sweep_l2_size",

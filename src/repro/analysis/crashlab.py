@@ -1,116 +1,21 @@
-"""Crash/recovery campaigns: inject failures across a run, recover,
-and verify — the experimental backbone for LP's failure-safety claim.
+"""Crash-state checking campaigns: pick the crash points worth checking
+and fan a crash-state check per variant through the experiment engine
+(see :mod:`repro.verify`).
 
-The paper evaluates performance (failures are rare); this module is the
-reproduction's way of *demonstrating* the correctness half: for a grid
-of crash points, Lazy Persistency recovery must reconstruct the exact
-failure-free output.
+The paper evaluates performance (failures are rare); these campaigns
+are the reproduction's way of *demonstrating* the correctness half:
+at every crash point, recovery must reconstruct the exact failure-free
+output on every reachable NVMM image.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.sim.cleaner import PeriodicCleaner
 from repro.sim.config import MachineConfig
-from repro.sim.crash import CrashPlan, run_with_crash
+from repro.sim.crash import CrashPlan
 from repro.sim.machine import Machine
 from repro.workloads.base import Workload
-
-
-@dataclass
-class CrashTrial:
-    crash_at_op: int
-    crashed: bool
-    recovered_ok: bool
-    writes_before_crash: int
-    recovery_ops: int
-    recovery_cycles: float
-
-
-@dataclass
-class CrashCampaignResult:
-    workload: str
-    trials: List[CrashTrial] = field(default_factory=list)
-
-    @property
-    def all_recovered(self) -> bool:
-        # Non-crashed trials (workload finished before the trigger)
-        # must verify too: a graceful run with wrong output is a bug,
-        # not a pass.
-        return all(t.recovered_ok for t in self.trials)
-
-    @property
-    def crashes(self) -> int:
-        return sum(1 for t in self.trials if t.crashed)
-
-    def mean_recovery_ops(self) -> float:
-        """Average recovery ops across the crashed trials."""
-        crashed = [t for t in self.trials if t.crashed]
-        if not crashed:
-            return 0.0
-        return sum(t.recovery_ops for t in crashed) / len(crashed)
-
-    def coverage(self):
-        """This campaign's :class:`~repro.obs.coverage.CoverageStats`:
-        one schedule image checked per trial (the single-image path),
-        so total images equal the trial count."""
-        from repro.obs.coverage import coverage_of_campaign
-
-        return coverage_of_campaign(self)
-
-
-def run_crash_campaign(
-    workload: Workload,
-    config: MachineConfig,
-    crash_points: List[int],
-    num_threads: int = 2,
-    engine: str = "modular",
-    cleaner_period: Optional[float] = None,
-    variant: str = "lp",
-) -> CrashCampaignResult:
-    """Crash a run at each op count, recover, verify exactness.
-
-    Recovery uses the variant's own procedure
-    (:meth:`BoundWorkload.recovery_threads_for`), so the campaign
-    exercises eager-marker and WAL recovery as faithfully as LP's.
-    """
-    campaign = CrashCampaignResult(workload=workload.name)
-    for at_op in crash_points:
-        machine = Machine(config)
-        if cleaner_period is not None:
-            machine.cleaner = PeriodicCleaner(cleaner_period)
-        bound = workload.bind(machine, num_threads=num_threads, engine=engine)
-        result, post = run_with_crash(
-            machine, bound.threads(variant), CrashPlan(at_op=at_op)
-        )
-        if not result.crashed:
-            # workload finished first: nothing to recover, still verify
-            campaign.trials.append(
-                CrashTrial(at_op, False, bound.verify(), result.nvmm_writes, 0, 0.0)
-            )
-            continue
-        rebound = workload.bind(
-            post, num_threads=num_threads, engine=engine, create=False
-        )
-        rres = post.run(rebound.recovery_threads_for(variant))
-        campaign.trials.append(
-            CrashTrial(
-                crash_at_op=at_op,
-                crashed=True,
-                recovered_ok=rebound.verify(),
-                writes_before_crash=result.nvmm_writes,
-                recovery_ops=rres.ops_executed,
-                recovery_cycles=rres.exec_cycles,
-            )
-        )
-    return campaign
-
-
-# ----------------------------------------------------------------------
-# crash-state checking campaigns (see repro.verify)
-# ----------------------------------------------------------------------
 
 
 def crash_plans_for(
@@ -176,7 +81,7 @@ def run_crashcheck_campaign(
     journal_path: Optional[str] = None,
     progress: bool = False,
 ):
-    """Crash-state checking across variants, through the PR-1 engine.
+    """Crash-state checking across variants, through the experiment engine.
 
     Builds one :class:`~repro.analysis.runner.CrashCheckJob` per
     variant (each spanning that variant's whole crash-point grid) and

@@ -17,12 +17,12 @@ from typing import Dict, List, Optional
 
 from repro.analysis.experiments import compare_variants
 from repro.analysis.runner import Job, run_jobs
-from repro.analysis.crashlab import run_crash_campaign
 from repro.analysis.reporting import format_table, geomean
 from repro.core.accuracy import run_error_injection
 from repro.core.checksum import available_engines, get_engine
 from repro.errors import ConfigError
 from repro.sim.config import MachineConfig, scaled_machine
+from repro.sim.crash import CrashPlan
 from repro.workloads import get_workload
 
 _SCALES: Dict[str, dict] = {
@@ -129,17 +129,22 @@ def _kernels_section(
 
 def _recovery_section(scale: dict) -> str:
     """Crash + recovery exactness across injected failure points."""
+    # Imported here: the verify package stays out of start-up.
+    from repro.verify.checker import check_variant
+
     cfg = _config(scale["threads"])
     name, params = next(iter(scale["workloads"].items()))
-    campaign = run_crash_campaign(
+    report = check_variant(
         get_workload(name)(**params),
         cfg,
-        crash_points=scale["crash_points"],
+        "lp",
+        [CrashPlan(at_op=op) for op in scale["crash_points"]],
+        plan=None,
         num_threads=scale["threads"],
     )
     rows = [
-        [t.crash_at_op, t.crashed, t.recovery_ops, t.recovered_ok]
-        for t in campaign.trials
+        [p.crash["at_op"], p.crashed, p.recovery_ops, p.ok]
+        for p in report.points
     ]
     return format_table(
         ["crash at op", "crashed", "recovery ops", "exact"],

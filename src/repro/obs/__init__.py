@@ -64,7 +64,6 @@ from repro.obs.bus import ProbeBus, ProbeObserver
 from repro.obs.coverage import (
     CoverageStats,
     EpochCoverage,
-    coverage_of_campaign,
     coverage_of_crashcheck,
     coverage_of_litmus,
 )
@@ -140,7 +139,6 @@ __all__ = [
     "render_dashboard",
     "CoverageStats",
     "EpochCoverage",
-    "coverage_of_campaign",
     "coverage_of_crashcheck",
     "coverage_of_litmus",
     "TelemetryJournal",

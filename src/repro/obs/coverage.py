@@ -8,20 +8,17 @@ how many images recovered vs. diverged, how much shrinking the
 counterexamples took, and how fast the campaign ran (images/sec).
 
 :class:`CoverageStats` (a JSON-safe document via ``to_dict``) is built
-four ways:
+three ways:
 
 * :func:`coverage_of_crashcheck` from a
   :class:`~repro.verify.checker.CrashCheckReport` (one per variant);
-* :func:`coverage_of_campaign` from a single-image
-  :class:`~repro.analysis.crashlab.CrashCampaignResult` (each trial
-  checks exactly one schedule image);
 * :func:`coverage_of_litmus` from a litmus
   :class:`~repro.verify.litmus.ModelVerdict`;
 * :func:`~repro.obs.journal.journal_summary` from the ``campaign_point``
   and ``litmus_program`` events of a journal, through the same
   :meth:`CoverageStats.add_point` accumulator.
 
-The three report classes also expose their document as a
+The two report classes also expose their document as a
 ``.coverage()`` convenience method.  The invariants the test suite
 pins: per-epoch image counts sum to the campaign total, and each
 epoch's exhaustive flag equals the enumerator's own frontier decision
@@ -34,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
-    from repro.analysis.crashlab import CrashCampaignResult
     from repro.verify.checker import CrashCheckReport
     from repro.verify.litmus import ModelVerdict
 
@@ -76,11 +72,10 @@ class EpochCoverage:
 class CoverageStats:
     """How much of the crash-state space one campaign actually checked."""
 
-    #: Campaign label: ``workload/variant`` for crashcheck, the
-    #: workload name for single-image campaigns, the model name for
-    #: litmus corpora.
+    #: Campaign label: ``workload/variant`` for crashcheck, the model
+    #: name for litmus corpora.
     label: str
-    #: ``"crashcheck"`` | ``"campaign"`` | ``"litmus"``.
+    #: ``"crashcheck"`` | ``"litmus"``.
     kind: str = "crashcheck"
     points: int = 0
     crashed_points: int = 0
@@ -246,25 +241,6 @@ def coverage_of_crashcheck(
             counterexamples=len(point.counterexamples),
             shrink_steps=point.shrink_steps,
         )
-    return stats
-
-
-def coverage_of_campaign(result: "CrashCampaignResult") -> CoverageStats:
-    """Coverage of a single-image crash campaign: each trial verifies
-    exactly one schedule image (a graceful completion's output is
-    verified too), so the single pseudo-epoch's image count equals the
-    trial count — all in the sampled (non-exhaustive) bucket, with the
-    event-count epoch unknown and recorded as 0."""
-    stats = CoverageStats(label=result.workload, kind="campaign")
-    for trial in result.trials:
-        stats.add_point(
-            num_events=0,
-            images_checked=1,
-            images_diverged=0 if trial.recovered_ok else 1,
-            bound=1,
-            exhaustive=False,
-        )
-    stats.crashed_points = sum(1 for t in result.trials if t.crashed)
     return stats
 
 

@@ -243,9 +243,8 @@ def _epoch_strip(doc: Dict[str, object]) -> str:
 def _coverage_grid(docs: Sequence[Dict[str, object]]) -> str:
     """Scheme×workload grid of images checked (✗ marks divergence).
 
-    Crashcheck labels are ``workload/variant``; labels without a slash
-    (single-image campaigns, litmus models) get a column named after
-    their kind.
+    Crashcheck labels are ``workload/variant``; litmus labels (model
+    names) have no slash and get a column named after their kind.
     """
     cells: Dict[Tuple[str, str], Dict[str, object]] = {}
     for doc in docs:
@@ -253,7 +252,7 @@ def _coverage_grid(docs: Sequence[Dict[str, object]]) -> str:
         if "/" in label:
             row, col = label.split("/", 1)
         else:
-            row, col = label, str(doc.get("kind", "campaign"))
+            row, col = label, str(doc["kind"])
         cells[(row, col)] = doc
     rows = sorted({r for r, _ in cells})
     cols = sorted({c for _, c in cells})

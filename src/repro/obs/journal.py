@@ -290,12 +290,7 @@ def journal_summary(events: List[Dict[str, Any]]) -> Dict[str, Any]:
                 cache = dict(event["cache"])
         elif kind == "campaign_point":
             label = str(event.get("label", "?"))
-            stats = campaigns.setdefault(
-                label,
-                CoverageStats(
-                    label=label, kind=str(event.get("campaign", "crashcheck"))
-                ),
-            )
+            stats = campaigns.setdefault(label, CoverageStats(label=label))
             stats.add_point(
                 num_events=int(event.get("num_events", 0) or 0),
                 images_checked=int(event.get("images_checked", 0) or 0),

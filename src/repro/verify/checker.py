@@ -13,22 +13,24 @@ For one (workload, variant, crash point) the checker
    (greedy removal of maximal events while the failure persists) and
    reports a replayable :class:`Counterexample`.
 
-The old single-image path (:mod:`repro.analysis.crashlab`) checks one
-schedule; this checker covers the whole reorderable space, which is
-what catches missing-fence bugs the simulator's synchronous flush
-acceptance otherwise hides.
+Enumeration covers the whole reorderable space, which is what catches
+missing-fence bugs the simulator's synchronous flush acceptance
+otherwise hides.  With no enumeration plan the checker is the
+single-image crash path instead: it checks only the image the
+simulated schedule left (``repro crash``, the ``reproduce`` recovery
+table and the crash ablation benches run this way).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.sim.cleaner import PeriodicCleaner
 from repro.sim.config import MachineConfig
-from repro.sim.crash import CrashPlan, run_to_crash_space
-from repro.sim.machine import Machine
+from repro.sim.crash import CrashPlan, run_to_crash_space, run_with_crash
+from repro.sim.machine import Machine, RunResult
 from repro.sim.persist import CrashStateSpace
 from repro.verify.enumerate import (
     EnumerationPlan,
@@ -143,6 +145,13 @@ class CrashPointReport:
     shrink_steps: int = 0
     #: Wall clock of the whole point check (run + enumerate + recover).
     wall_s: float = 0.0
+    #: NVMM writes of the run to the crash trigger (or to a graceful
+    #: end).
+    writes_before_crash: int = 0
+    #: Ops and cycles of the recovery runs on the checked images,
+    #: summed; shrinking's re-runs are not counted.
+    recovery_ops: int = 0
+    recovery_cycles: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -165,13 +174,13 @@ class CrashPointReport:
             "images_diverged": self.images_diverged,
             "shrink_steps": self.shrink_steps,
             "wall_s": round(self.wall_s, 6),
+            "writes_before_crash": self.writes_before_crash,
+            "recovery_ops": self.recovery_ops,
+            "recovery_cycles": self.recovery_cycles,
         }
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "CrashPointReport":
-        # Coverage fields default for records written before they
-        # existed (pre-coverage cache entries are invalidated by
-        # code_version anyway; saved counterexample files are not).
         return cls(
             crash=dict(d["crash"]),
             crashed=bool(d["crashed"]),
@@ -182,10 +191,13 @@ class CrashPointReport:
             counterexamples=[
                 Counterexample.from_dict(c) for c in d["counterexamples"]
             ],
-            bound=int(d.get("bound", 0)),
-            images_diverged=int(d.get("images_diverged", 0)),
-            shrink_steps=int(d.get("shrink_steps", 0)),
-            wall_s=float(d.get("wall_s", 0.0)),
+            bound=int(d["bound"]),
+            images_diverged=int(d["images_diverged"]),
+            shrink_steps=int(d["shrink_steps"]),
+            wall_s=float(d["wall_s"]),
+            writes_before_crash=int(d["writes_before_crash"]),
+            recovery_ops=int(d["recovery_ops"]),
+            recovery_cycles=float(d["recovery_cycles"]),
         )
 
 
@@ -252,7 +264,7 @@ class CrashCheckReport:
 # ----------------------------------------------------------------------
 
 
-def _recovery_fails(
+def _run_recovery(
     crashed_machine: Machine,
     workload: Workload,
     variant: str,
@@ -260,8 +272,9 @@ def _recovery_fails(
     num_threads: int,
     engine: str,
     replay: bool = True,
-) -> bool:
-    """True when recovery on ``image`` yields wrong final output.
+) -> Tuple[bool, RunResult]:
+    """Run the variant's recovery on ``image``; return whether the
+    final output is exact, and the recovery run.
 
     By default recovery runs on a **replay machine** (cache-free
     architectural semantics, functional timing): the verdict depends
@@ -269,14 +282,14 @@ def _recovery_fails(
     architecturally transparent, so replay is exact for this question
     while skipping the coherence walk that otherwise dominates campaign
     wall-clock.  ``replay=False`` restores the full-machine recovery
-    run (equivalence tests and benchmarks use it).
+    run, whose cycles are the modelled recovery time.
     """
     post = crashed_machine.after_crash_with_image(image, replay=replay)
     rebound = workload.bind(
         post, num_threads=num_threads, engine=engine, create=False
     )
-    post.run(rebound.recovery_threads_for(variant))
-    return not rebound.verify()
+    result = post.run(rebound.recovery_threads_for(variant))
+    return rebound.verify(), result
 
 
 def minimize_failure(
@@ -314,7 +327,7 @@ def check_crash_point(
     config: MachineConfig,
     variant: str,
     crash: CrashPlan,
-    plan: EnumerationPlan,
+    plan: Optional[EnumerationPlan],
     num_threads: int = 2,
     engine: str = "modular",
     cleaner_period: Optional[float] = None,
@@ -324,10 +337,17 @@ def check_crash_point(
     """Run ``variant`` to the ``crash`` trigger, enumerate every
     reachable image, and check recovery against each.
 
+    ``plan=None`` checks only the image the simulated schedule left
+    (the :meth:`~repro.sim.machine.Machine.after_crash` image), as a
+    zero-event space: one image, bound 1, exhaustive.  It needs no
+    persist tracker, so it runs under every persistency model.  Its
+    counterexamples carry that image but no events; replay them with
+    :func:`~repro.sim.crash.run_with_crash`.
+
     ``timing`` overrides the config's timing model for the crash-point
     run (the run that defines the reachable-image space); ``replay``
     selects the fast cache-free machine for per-image recovery runs
-    (see :func:`_recovery_fails`).
+    (see :func:`_run_recovery`).
     """
     started = time.perf_counter()
     if timing is not None:
@@ -337,10 +357,25 @@ def check_crash_point(
     if cleaner_period is not None:
         machine.cleaner = PeriodicCleaner(cleaner_period)
     bound = workload.bind(machine, num_threads=num_threads, engine=engine)
-    result, space = run_to_crash_space(machine, bound.threads(variant), crash)
+    if plan is None:
+        plan = EnumerationPlan()
+        result, post = run_with_crash(machine, bound.threads(variant), crash)
+        space: Optional[CrashStateSpace] = (
+            CrashStateSpace(floor=post.mem.persistent, events=[], edges=[])
+            if result.crashed
+            else None
+        )
+    else:
+        result, space = run_to_crash_space(
+            machine, bound.threads(variant), crash
+        )
     if space is None:
         # Finished before the trigger: a graceful end must still verify.
-        report = CrashPointReport(crash=crash_key, crashed=False)
+        report = CrashPointReport(
+            crash=crash_key,
+            crashed=False,
+            writes_before_crash=result.nvmm_writes,
+        )
         if not bound.verify():
             report.counterexamples.append(
                 Counterexample(
@@ -363,10 +398,11 @@ def check_crash_point(
         num_edges=len(space.edges),
         exhaustive=plan.is_exhaustive_for(space),
         bound=enumeration_bound(space, plan),
+        writes_before_crash=result.nvmm_writes,
     )
 
-    def fails(eids: FrozenSet[int]) -> bool:
-        return _recovery_fails(
+    def recover(eids: FrozenSet[int]) -> Tuple[bool, RunResult]:
+        return _run_recovery(
             machine,
             workload,
             variant,
@@ -376,10 +412,16 @@ def check_crash_point(
             replay=replay,
         )
 
+    def fails(eids: FrozenSet[int]) -> bool:
+        return not recover(eids)[0]
+
     known: List[FrozenSet[int]] = []
     for candidate in enumerate_images(space, plan):
         report.images_checked += 1
-        if not fails(candidate.eids):
+        ok, recovery = recover(candidate.eids)
+        report.recovery_ops += recovery.ops_executed
+        report.recovery_cycles += recovery.exec_cycles
+        if ok:
             continue
         report.images_diverged += 1
         if any(k <= candidate.eids for k in known):
@@ -409,7 +451,7 @@ def check_variant(
     config: MachineConfig,
     variant: str,
     crash_plans: Sequence[CrashPlan],
-    plan: EnumerationPlan,
+    plan: Optional[EnumerationPlan],
     num_threads: int = 2,
     engine: str = "modular",
     cleaner_period: Optional[float] = None,
@@ -511,7 +553,7 @@ def replay_counterexample(
     if space is None:
         return False
     image = space.image_for(counterexample.minimized_eids)
-    return _recovery_fails(
+    ok, _ = _run_recovery(
         machine,
         workload,
         counterexample.variant,
@@ -519,3 +561,4 @@ def replay_counterexample(
         num_threads,
         engine,
     )
+    return not ok

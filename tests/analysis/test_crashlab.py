@@ -1,9 +1,11 @@
-"""Tests for the crash-campaign driver."""
+"""Tests for crash campaigns: the single-image crash path (the
+crash-state checker with no enumeration plan) and crashcheck campaigns."""
 
-from repro.analysis.crashlab import run_crash_campaign
 from repro.sim.config import CacheConfig, MachineConfig
+from repro.sim.crash import CrashPlan
+from repro.verify import check_variant
 from repro.workloads.conv2d import Conv2D
-from repro.workloads.tmm import TiledMatMul
+from repro.workloads.tmm import BoundTMM, TiledMatMul
 
 
 def config(cores=3):
@@ -14,105 +16,88 @@ def config(cores=3):
     )
 
 
+def one_image(workload, crash_points, variant="lp", **kwargs):
+    """Crash at each op count and check the one image the schedule left."""
+    return check_variant(
+        workload,
+        config(),
+        variant,
+        [CrashPlan(at_op=op) for op in crash_points],
+        plan=None,
+        num_threads=2,
+        **kwargs,
+    )
+
+
 class TestCrashCampaign:
     def test_tmm_campaign_all_recover(self):
-        campaign = run_crash_campaign(
-            TiledMatMul(n=16, bsize=8),
-            config(),
-            crash_points=[3, 700, 2500],
-            num_threads=2,
+        report = one_image(TiledMatMul(n=16, bsize=8), [3, 700, 2500])
+        crashed = [p for p in report.points if p.crashed]
+        assert crashed
+        assert report.ok
+        assert all(p.recovery_ops > 0 for p in crashed)
+        # One image per crashed point, exhaustive by construction.
+        assert all(
+            (p.images_checked, p.bound, p.num_events, p.exhaustive)
+            == (1, 1, 0, True)
+            for p in crashed
         )
-        assert campaign.crashes >= 1
-        assert campaign.all_recovered
-        assert campaign.mean_recovery_ops() > 0
 
     def test_conv_campaign_all_recover(self):
-        campaign = run_crash_campaign(
-            Conv2D(n=12, ksize=3, row_block=2),
-            config(),
-            crash_points=[10, 900],
-            num_threads=2,
-        )
-        assert campaign.all_recovered
+        report = one_image(Conv2D(n=12, ksize=3, row_block=2), [10, 900])
+        assert report.ok
 
     def test_late_crash_point_may_not_crash(self):
-        campaign = run_crash_campaign(
-            TiledMatMul(n=16, bsize=8),
-            config(),
-            crash_points=[10_000_000],
-            num_threads=2,
-        )
-        assert campaign.crashes == 0
-        assert campaign.trials[0].recovered_ok  # verified clean finish
-        assert campaign.mean_recovery_ops() == 0.0
+        report = one_image(TiledMatMul(n=16, bsize=8), [10_000_000])
+        (point,) = report.points
+        assert not point.crashed
+        assert point.ok  # verified clean finish
+        assert point.writes_before_crash > 0
+        assert (point.images_checked, point.recovery_ops) == (0, 0)
 
     def test_cleaner_bounds_recovery(self):
-        slow = run_crash_campaign(
-            TiledMatMul(n=16, bsize=8),
-            config(),
-            crash_points=[2500],
-            num_threads=2,
-        )
-        fast = run_crash_campaign(
-            TiledMatMul(n=16, bsize=8),
-            config(),
-            crash_points=[2500],
-            num_threads=2,
-            cleaner_period=500.0,
-        )
-        assert fast.all_recovered and slow.all_recovered
-        assert (
-            fast.trials[0].recovery_ops <= slow.trials[0].recovery_ops
-        )
+        (slow,) = one_image(TiledMatMul(n=16, bsize=8), [2500]).points
+        (fast,) = one_image(
+            TiledMatMul(n=16, bsize=8), [2500], cleaner_period=500.0
+        ).points
+        assert fast.ok and slow.ok
+        assert fast.recovery_ops <= slow.recovery_ops
 
 
 class TestAllRecoveredAccounting:
-    def test_failed_verify_on_non_crashed_trial_counts(self):
-        # Regression: a graceful (non-crashed) trial whose verify failed
-        # used to be filtered out of all_recovered entirely.
-        from repro.analysis.crashlab import CrashCampaignResult, CrashTrial
+    def test_failed_verify_on_non_crashed_trial_counts(self, monkeypatch):
+        # A point that finishes before its trigger with wrong output is
+        # a bug, not a pass.
+        monkeypatch.setattr(BoundTMM, "verify", lambda self: False)
+        report = one_image(TiledMatMul(n=16, bsize=8), [10_000_000])
+        (point,) = report.points
+        assert not point.crashed
+        assert not point.ok
+        assert not report.ok
 
-        campaign = CrashCampaignResult(
-            workload="x",
-            trials=[CrashTrial(10, False, False, 0, 0, 0.0)],
-        )
-        assert not campaign.all_recovered
-
-    def test_failed_crashed_trial_counts(self):
-        from repro.analysis.crashlab import CrashCampaignResult, CrashTrial
-
-        campaign = CrashCampaignResult(
-            workload="x",
-            trials=[
-                CrashTrial(10, True, True, 5, 3, 1.0),
-                CrashTrial(20, True, False, 5, 3, 1.0),
-            ],
-        )
-        assert not campaign.all_recovered
+    def test_failed_crashed_trial_counts(self, monkeypatch):
+        # Recovery is exact at the first point and wrong at the second.
+        verdicts = iter([True, False])
+        monkeypatch.setattr(BoundTMM, "verify", lambda self: next(verdicts))
+        report = one_image(TiledMatMul(n=16, bsize=8), [700, 2500])
+        first, second = report.points
+        assert first.crashed and first.ok
+        assert second.crashed and not second.ok
+        assert second.images_diverged == 1
+        assert not report.ok
+        assert report.coverage().images_diverged == 1
 
 
 class TestVariantCampaigns:
     def test_ep_campaign_recovers_with_marker_recovery(self):
-        campaign = run_crash_campaign(
-            TiledMatMul(n=16, bsize=8),
-            config(),
-            crash_points=[700, 2500],
-            num_threads=2,
-            variant="ep",
-        )
-        assert campaign.crashes >= 1
-        assert campaign.all_recovered
+        report = one_image(TiledMatMul(n=16, bsize=8), [700, 2500], "ep")
+        assert any(p.crashed for p in report.points)
+        assert report.ok
 
     def test_wal_campaign_recovers_with_log_rollback(self):
-        campaign = run_crash_campaign(
-            TiledMatMul(n=16, bsize=8),
-            config(),
-            crash_points=[700, 2500],
-            num_threads=2,
-            variant="wal",
-        )
-        assert campaign.crashes >= 1
-        assert campaign.all_recovered
+        report = one_image(TiledMatMul(n=16, bsize=8), [700, 2500], "wal")
+        assert any(p.crashed for p in report.points)
+        assert report.ok
 
 
 class TestCrashPlansFor:

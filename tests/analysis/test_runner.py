@@ -381,3 +381,32 @@ class TestCrashCheckJob:
         fresh = ResultCache(str(tmp_path))
         assert fresh.get(key, decode=CrashCheckReport.from_dict) is None
         assert fresh.stats.corrupt == 1
+
+    @pytest.mark.parametrize(
+        "field", ["images_diverged", "writes_before_crash", "recovery_ops"]
+    )
+    def test_report_missing_a_field_treated_as_corruption(
+        self, tmp_path, field
+    ):
+        # Reports decode strictly: a stored point that lacks a field is
+        # deleted and re-run, never served with a default in its place.
+        from repro.verify import CrashCheckReport
+
+        decode = CrashCheckReport.from_dict
+        cache = ResultCache(str(tmp_path))
+        (good,) = run_jobs([self.make_job()], cache=cache, decode=decode)
+        key = self.make_job().cache_key()
+        path = cache._path(key)
+        with open(path, "r+") as fh:
+            record = json.load(fh)
+            del record["result"]["points"][0][field]
+            fh.seek(0)
+            json.dump(record, fh)
+            fh.truncate()
+        fresh = ResultCache(str(tmp_path))
+        assert fresh.get(key, decode=decode) is None
+        assert fresh.stats.corrupt == 1
+        assert not os.path.exists(path)
+        (rerun,) = run_jobs([self.make_job()], cache=fresh, decode=decode)
+        assert fresh.stats.stores == 1
+        assert rerun.ok and len(rerun.points) == len(good.points)

@@ -10,9 +10,10 @@ recoverable in the failure case.
 
 import pytest
 
-from repro.analysis.crashlab import run_crash_campaign
 from repro.analysis.experiments import compare_variants, run_variant
 from repro.sim.config import CacheConfig, MachineConfig
+from repro.sim.crash import CrashPlan
+from repro.verify import check_variant
 from repro.workloads import available_workloads, get_workload
 
 TEST_SPECS = {
@@ -71,29 +72,30 @@ class TestAllWorkloadsAllVariants:
         assert flushed > 0 or "flush" in res.writes_by_cause
 
 
+def crash_campaign(name, crash_points, **kwargs):
+    """LP crashed at each op count; the one image each crash left is
+    recovered and verified."""
+    return check_variant(
+        make(name),
+        config(),
+        "lp",
+        [CrashPlan(at_op=op) for op in crash_points],
+        plan=None,
+        num_threads=2,
+        **kwargs,
+    )
+
+
 class TestCrashCampaignsAllWorkloads:
     @pytest.mark.parametrize("name", sorted(TEST_SPECS))
     def test_recovery_exact_everywhere(self, name):
-        campaign = run_crash_campaign(
-            make(name),
-            config(),
-            crash_points=[7, 250, 900, 2200],
-            num_threads=2,
-        )
-        assert campaign.all_recovered, (
-            f"{name}: recovery failed at some crash point"
-        )
+        report = crash_campaign(name, [7, 250, 900, 2200])
+        assert report.ok, f"{name}: recovery failed at some crash point"
 
     @pytest.mark.parametrize("name", sorted(TEST_SPECS))
     def test_recovery_with_cleaner(self, name):
-        campaign = run_crash_campaign(
-            make(name),
-            config(),
-            crash_points=[600],
-            num_threads=2,
-            cleaner_period=300.0,
-        )
-        assert campaign.all_recovered
+        report = crash_campaign(name, [600], cleaner_period=300.0)
+        assert report.ok
 
 
 class TestRegistryCoverage:

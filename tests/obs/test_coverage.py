@@ -5,17 +5,15 @@ over the verification layer's own reports.  These tests pin the fold
 — per-epoch sums equal campaign totals, the exhaustive/sampled split
 equals the enumerator's frontier decision, bounds dominate image
 counts — across three workloads and both sound and broken variants,
-plus the single-image campaign and litmus builders and the round trip
-through the journal.
+plus the checker's one-image mode, ``coverage_of_litmus`` and the
+round trip through the journal.
 """
 
 import pytest
 
-from repro.analysis.crashlab import CrashCampaignResult, CrashTrial
 from repro.obs.coverage import (
     CoverageStats,
     EpochCoverage,
-    coverage_of_campaign,
     coverage_of_crashcheck,
     coverage_of_litmus,
 )
@@ -25,6 +23,7 @@ from repro.sim.crash import CrashPlan
 from repro.verify import EnumerationPlan, check_variant
 from repro.verify.litmus import check_model, generate_programs
 from repro.workloads import get_workload
+from repro.workloads.tmm import BoundTMM
 
 PLAN = EnumerationPlan(max_exhaustive_events=12, samples=16, seed=0)
 
@@ -181,34 +180,36 @@ class TestSampledEpochs:
 
 
 class TestCampaignCoverage:
-    def test_one_image_per_trial(self):
-        result = CrashCampaignResult(
-            workload="tmm",
-            trials=[
-                CrashTrial(100, True, True, 10, 5, 50.0),
-                CrashTrial(200, True, False, 20, 5, 50.0),
-                CrashTrial(900, False, True, 30, 0, 0.0),
-            ],
+    def test_one_image_per_trial(self, monkeypatch):
+        # Recovery exact at op 200, wrong at op 400; op 10M finishes
+        # first and verifies clean.
+        verdicts = iter([True, False, True])
+        monkeypatch.setattr(BoundTMM, "verify", lambda self: next(verdicts))
+        report = run_check(
+            "tmm", {"n": 8, "bsize": 4, "kk_tiles": 1}, "lp",
+            [CrashPlan(at_op=o) for o in (200, 400, 10_000_000)], plan=None,
         )
-        cov = coverage_of_campaign(result)
-        assert cov.kind == "campaign"
-        assert cov.label == "tmm"
+        cov = coverage_of_crashcheck(report)
+        assert cov.kind == "crashcheck"
+        assert cov.label == "tmm/lp"
         assert cov.points == 3
         assert cov.crashed_points == 2
-        assert cov.images_checked == 3
+        assert cov.images_checked == 2
         assert cov.images_diverged == 1
         assert not cov.ok
-        # Single-image trials all land in one sampled pseudo-epoch, and
-        # its image count equals the trial count (every trial verifies
-        # exactly one image, graceful completions included).
-        assert len(cov.epochs) == 1
-        assert cov.epochs[0].num_events == 0
-        assert not cov.epochs[0].exhaustive
-        assert cov.epochs[0].points == 3
-        assert sum(e.images_checked for e in cov.epochs) == (
-            len(result.trials)
-        )
-        assert result.coverage().to_dict() == cov.to_dict()
+        # Each crashed point checks exactly its schedule's image: one
+        # exhaustive zero-event epoch whose bound is one per point.
+        assert [e.to_dict() for e in cov.epochs] == [
+            {
+                "num_events": 0,
+                "points": 2,
+                "images_checked": 2,
+                "images_diverged": 1,
+                "bound": 2,
+                "exhaustive": True,
+            }
+        ]
+        assert report.coverage().to_dict() == cov.to_dict()
 
 
 class TestLitmusCoverage:

@@ -4,14 +4,36 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.sim.address import element_addrs_of_line
+from repro.sim.cleaner import PeriodicCleaner
 from repro.sim.config import LINE_BYTES, tiny_machine
 from repro.sim.crash import CrashPlan, run_to_crash_space
 from repro.sim.machine import Machine
 from repro.sim.persist import KIND_DIRTY, KIND_FLUSH, PersistOrderTracker
 from repro.sim.valuestore import MemoryState
+from repro.workloads import available_workloads, get_workload
 
 LINE_A = 4 * LINE_BYTES
 LINE_B = 8 * LINE_BYTES
+
+#: Crashcheck-sized problems for every registry workload.
+SMALL_PARAMS = {
+    "tmm": {"n": 8, "bsize": 4, "kk_tiles": 1},
+    "fft": {"n": 16},
+    "gauss": {"n": 8, "row_block": 4},
+    "cholesky": {"n": 8, "col_block": 4},
+    "conv2d": {"n": 8, "row_block": 2},
+    "log": {"records": 6, "width": 2, "wb_batch": 2},
+    "hashmap": {"capacity": 8, "ops": 6, "keys": 3, "wb_batch": 2},
+}
+
+#: Every registry workload x variant, deliberately broken ones included.
+ALL_VARIANTS = [
+    (name, variant)
+    for name in available_workloads()
+    for variant in (
+        get_workload(name).variants + get_workload(name).broken_variants
+    )
+]
 
 
 def make_state(lines=(LINE_A, LINE_B)):
@@ -118,18 +140,39 @@ class TestSnapshot:
 
 
 class TestMachineIntegration:
-    def test_schedule_image_matches_single_image_crash_path(self):
+    @pytest.mark.parametrize("model", ["adr", "epoch", "eadr"])
+    @pytest.mark.parametrize("cleaner", [None, 200.0], ids=["none", "cleaner"])
+    @pytest.mark.parametrize("trigger", ["at_op", "at_flush"])
+    @pytest.mark.parametrize(
+        "name,variant", ALL_VARIANTS, ids=[f"{n}/{v}" for n, v in ALL_VARIANTS]
+    )
+    def test_schedule_image_matches_single_image_crash_path(
+        self, name, variant, trigger, cleaner, model
+    ):
         """image_for(schedule_eids) must reproduce exactly the NVMM
         image the plain crash path committed: floor + every pending
         flush, no extra dirty-line writebacks."""
-        from repro.workloads.tmm import TiledMatMul
+        workload = get_workload(name)(**SMALL_PARAMS[name])
+        config = tiny_machine().with_model(model)
 
-        workload = TiledMatMul(n=8, bsize=4, kk_tiles=1)
-        machine = Machine(tiny_machine())
-        bound = workload.bind(machine, num_threads=2, engine="modular")
+        def fresh():
+            machine = Machine(config)
+            if cleaner is not None:
+                machine.cleaner = PeriodicCleaner(cleaner)
+            bound = workload.bind(machine, num_threads=2, engine="modular")
+            return machine, bound.threads(variant)
+
+        machine, threads = fresh()
+        profile = machine.run(threads)
+        total = profile.ops_executed if trigger == "at_op" else profile.flush_ops
+        machine, threads = fresh()
         result, space = run_to_crash_space(
-            machine, bound.threads("lp"), CrashPlan(at_op=300)
+            machine, threads, CrashPlan(**{trigger: max(1, total // 2)})
         )
+        if not total:
+            # A flush trigger never fires in a run without flushes.
+            assert not result.crashed and space is None
+            return
         assert result.crashed and space is not None
         image = space.image_for(space.schedule_eids())
         assert image == machine.mem.persistent

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim.model import model_names
 
 
 class TestParser:
@@ -84,9 +85,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "base" in out and "lp" in out
 
-    def test_crash_recovers(self, capsys):
+    @pytest.mark.parametrize("model", model_names())
+    def test_crash_recovers(self, capsys, model):
+        # pre_adr has no persist tracker: the one image needs none.
         rc = main(
-            ["crash", "tmm", "--at-op", "2000", "--threads", "2", "-p", "n=16"]
+            ["crash", "tmm", "--at-op", "2000", "--threads", "2", "-p", "n=16",
+             "--model", model]
         )
         assert rc == 0
         out = capsys.readouterr().out

@@ -35,6 +35,12 @@ class TestQuickstart:
 
 
 class TestExampleHygiene:
+    def test_all_examples_import(self):
+        # Loading runs each module's imports without calling main().
+        for path in sorted(EXAMPLES_DIR.glob("*.py")):
+            module = load_example(path.name)
+            assert callable(module.main), path.name
+
     def test_all_examples_have_main(self):
         for path in sorted(EXAMPLES_DIR.glob("*.py")):
             source = path.read_text()

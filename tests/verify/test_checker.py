@@ -9,18 +9,23 @@ replayable counterexample.
 
 import pytest
 
+from repro.schemes import get_scheme
+from repro.sim.cleaner import PeriodicCleaner
 from repro.sim.config import tiny_machine
-from repro.sim.crash import CrashPlan
+from repro.sim.crash import CrashPlan, run_with_crash
+from repro.sim.machine import Machine
 from repro.verify import (
     Counterexample,
     CrashCheckReport,
     EnumerationPlan,
+    check_crash_point,
     check_variant,
     minimize_failure,
     plan_from_dict,
     plan_to_dict,
     replay_counterexample,
 )
+from repro.workloads import available_workloads, get_workload
 from repro.workloads.fft import FFT
 from repro.workloads.tmm import TiledMatMul
 
@@ -36,6 +41,26 @@ def small_tmm():
 
 def check(workload, variant, plans, plan=PLAN):
     return check_variant(workload, tiny_machine(), variant, plans, plan)
+
+
+#: Crashcheck-sized problems for every registry workload.
+SMALL_PARAMS = {
+    "tmm": {"n": 8, "bsize": 4, "kk_tiles": 1},
+    "fft": {"n": 16},
+    "gauss": {"n": 8, "row_block": 4},
+    "cholesky": {"n": 8, "col_block": 4},
+    "conv2d": {"n": 8, "row_block": 2},
+    "log": {"records": 6, "width": 2, "wb_batch": 2},
+    "hashmap": {"capacity": 8, "ops": 6, "keys": 3, "wb_batch": 2},
+}
+
+#: Every registry workload x sound variant.
+SOUND_VARIANTS = [
+    (name, variant)
+    for name in available_workloads()
+    for variant in get_workload(name).variants
+    if get_scheme(variant).sound
+]
 
 
 class TestSoundVariantsPass:
@@ -148,3 +173,67 @@ class TestMinimizeFailure:
             space, frozenset(range(5)), lambda s: 1 in s
         )
         assert minimized == frozenset({0, 1})
+
+
+class TestOneImageMode:
+    """``plan=None`` is the single-image crash path: it must report what
+    crashing, recovering and verifying by hand reports."""
+
+    @staticmethod
+    def machine(cleaner):
+        machine = Machine(tiny_machine())
+        if cleaner is not None:
+            machine.cleaner = PeriodicCleaner(cleaner)
+        return machine
+
+    def reference(self, workload, variant, crash, cleaner):
+        """run_with_crash, then the variant's recovery, then verify."""
+        machine = self.machine(cleaner)
+        bound = workload.bind(machine, num_threads=2, engine="modular")
+        result, post = run_with_crash(machine, bound.threads(variant), crash)
+        if not result.crashed:
+            return False, result.nvmm_writes, 0, 0.0, bound.verify()
+        rebound = workload.bind(
+            post, num_threads=2, engine="modular", create=False
+        )
+        recovery = post.run(rebound.recovery_threads_for(variant))
+        return (
+            True,
+            result.nvmm_writes,
+            recovery.ops_executed,
+            recovery.exec_cycles,
+            rebound.verify(),
+        )
+
+    @pytest.mark.parametrize("cleaner", [None, 200.0], ids=["none", "cleaner"])
+    @pytest.mark.parametrize(
+        "name,variant",
+        SOUND_VARIANTS,
+        ids=[f"{n}/{v}" for n, v in SOUND_VARIANTS],
+    )
+    def test_matches_hand_run_reference(self, name, variant, cleaner):
+        workload = get_workload(name)(**SMALL_PARAMS[name])
+        bound = workload.bind(self.machine(cleaner), num_threads=2)
+        total = bound.machine.run(bound.threads(variant)).ops_executed
+        # Mid-run, and past the end (a graceful finish).
+        for crash in (CrashPlan(at_op=total // 2), CrashPlan(at_op=2 * total)):
+            crashed, writes, ops, cycles, exact = self.reference(
+                workload, variant, crash, cleaner
+            )
+            assert crashed == (crash.at_op < total)
+            full, fast = [
+                check_crash_point(
+                    workload, tiny_machine(), variant, crash, plan=None,
+                    cleaner_period=cleaner, replay=replay,
+                )
+                for replay in (False, True)
+            ]
+            assert (
+                full.crashed,
+                full.writes_before_crash,
+                full.recovery_ops,
+                full.recovery_cycles,
+                full.ok,
+            ) == (crashed, writes, ops, cycles, exact)
+            assert (fast.recovery_ops, fast.ok) == (ops, exact)
+            assert full.images_checked == fast.images_checked == int(crashed)
