@@ -1,9 +1,9 @@
-"""Probe-bus and stream-path observability overhead, measured.
+"""Probe-bus observability overhead, measured.
 
 The ``repro.obs`` probe bus installs per-instance taps on a built
 machine; nothing in ``repro.sim`` branches on observability, so an
 untapped machine runs byte-identical code.  This bench pins that claim
-with wall-clock numbers, across both execution paths:
+with wall-clock numbers:
 
 * **disabled** — ``attach_probes`` with an empty bus.  No channel has
   a subscriber, so no tap is installed and the run must stay within
@@ -19,16 +19,6 @@ with wall-clock numbers, across both execution paths:
   plain run that sends every op through ``Core.execute`` too
   (:func:`bench_common.through_core_execute`), so the ratio prices the
   observability layer alone.
-* **stream obs** — the op-stream fast path with the full observer
-  surface *derived* in batch (:mod:`repro.obs.streamobs`): one bare
-  stream-path run (``record_stream``, exactly what ``repro run --tier
-  stream`` executes) against the same run plus the
-  ``derive_sampler``/``derive_heatmap``/``derive_flame`` trio.  The
-  derivations happen once per recorded stream, so comparing them
-  against the run that produces the stream mirrors the machine-path
-  legs (plain vs traced, both timing full runs); the delta must stay
-  within ``STREAM_OBS_CEILING`` (10%) — observability on the 100x
-  path cannot cost the path.
 
 Wall-clock noise is tamed by the shared harness
 (:func:`bench_common.interleaved_medians`): per-leg warm-up, legs
@@ -48,15 +38,7 @@ import os
 import time
 
 from repro.analysis.reporting import format_table
-from repro.obs import (
-    IntervalSampler,
-    ProbeBus,
-    TraceRecorder,
-    derive_flame,
-    derive_heatmap,
-    derive_sampler,
-    probed,
-)
+from repro.obs import IntervalSampler, ProbeBus, TraceRecorder, probed
 from repro.obs.taps import attach_probes, detach_probes
 
 from bench_common import (
@@ -82,20 +64,12 @@ OVERHEAD_CEILING = 0.02
 #: Measured against the reference (every-op ``Core.execute``) leg.
 TRACED_OVERHEAD_CEILING = 0.88
 
-#: The asserted bound on stream-derived observability vs a bare
-#: stream-path run (the fast path must stay fast when observed).
-STREAM_OBS_CEILING = 0.10
-
 #: Interval width for the traced leg's sampler (cycles).
 SAMPLER_INTERVAL = 1000.0
 
 #: Runs per timed sample: smoke-size runs are ~150ms, far too short
 #: for a 2% bound, so a smoke sample batches several.
 BATCH = 6 if SMOKE else 1
-
-#: Runs per stream-leg sample: smoke-size recording runs are short,
-#: so they batch more to clear the noise floor.
-STREAM_BATCH = 8 if SMOKE else 1
 
 #: Samples per leg; the median is compared (robust to one bad sample).
 REPEATS = 5
@@ -163,66 +137,19 @@ def run_bench():
     return baseline, disabled, reference, traced, len(recorder_box[0])
 
 
-def _stream_run(derive):
-    """One stream-path run (``record_stream`` on a fresh bound replay
-    machine — what ``repro run --tier stream`` executes), optionally
-    plus the full batch-derived observer surface; returns
-    ``(seconds, stream_len)``."""
-    from repro.sim.machine import Machine
-    from repro.sim.opstream import record_stream
-
-    workload = make_workload("tmm")
-    machine = Machine(machine_config(), _replay=True)
-    bound = workload.bind(machine, num_threads=NUM_THREADS)
-    threads = bound.threads("lp")
-    t0 = time.perf_counter()
-    stream, _ = record_stream(machine, threads)
-    if derive:
-        derive_sampler(stream, SAMPLER_INTERVAL)
-        derive_heatmap(stream, machine)
-        derive_flame(stream)
-    return time.perf_counter() - t0, len(stream)
-
-
-def run_stream_bench():
-    stream_len_box = [0]
-
-    def stream_sample(derive):
-        total = 0.0
-        for _ in range(STREAM_BATCH):
-            seconds, stream_len = _stream_run(derive)
-            total += seconds
-            stream_len_box[0] = stream_len
-        return total
-
-    bare, derived = interleaved_medians(
-        [lambda: stream_sample(False), lambda: stream_sample(True)],
-        repeats=REPEATS,
-    )
-    return bare, derived, stream_len_box[0] * STREAM_BATCH
-
-
 def test_obs_overhead(benchmark):
     baseline, disabled, reference, traced, events = benchmark.pedantic(
         run_bench, rounds=1, iterations=1
     )
-    stream_bare, stream_obs, stream_events = run_stream_bench()
 
     disabled_overhead = disabled / baseline - 1.0
     traced_overhead = traced / reference - 1.0
-    stream_overhead = (
-        stream_obs / stream_bare - 1.0 if stream_bare > 0 else 0.0
-    )
     # Both throughputs matter: the traced rate is what a tracing user
     # gets; the untraced rate (same event stream at plain-run speed) is
     # the simulator's actual hot-loop throughput, the number hot-loop
-    # optimizations move.  The stream-obs rate is stream ops/sec
-    # through the recording run *including* the derived surface.
+    # optimizations move.
     events_per_sec_traced = events / traced if traced > 0 else 0.0
     events_per_sec_untraced = events / baseline if baseline > 0 else 0.0
-    events_per_sec_stream_obs = (
-        stream_events / stream_obs if stream_obs > 0 else 0.0
-    )
 
     table = format_table(
         ["leg", "seconds (median of %d)" % REPEATS, "overhead"],
@@ -234,9 +161,6 @@ def test_obs_overhead(benchmark):
              ""],
             ["fully traced (recorder+sampler)", f"{traced:.3f}",
              f"{traced_overhead * 100:+.2f}% vs reference"],
-            ["bare stream-path run", f"{stream_bare:.3f}", ""],
-            ["stream-path run + derived obs", f"{stream_obs:.3f}",
-             f"{stream_overhead * 100:+.2f}%"],
         ],
         title="Observability overhead (tmm/lp, wall-clock)",
     )
@@ -248,22 +172,15 @@ def test_obs_overhead(benchmark):
         "traced_seconds": round(traced, 4),
         "traced_overhead_pct": round(traced_overhead * 100, 2),
         "traced_overhead_ceiling_pct": TRACED_OVERHEAD_CEILING * 100,
-        "stream_bare_seconds": round(stream_bare, 4),
-        "stream_obs_seconds": round(stream_obs, 4),
-        "stream_obs_overhead_pct": round(stream_overhead * 100, 2),
-        "stream_obs_ceiling_pct": STREAM_OBS_CEILING * 100,
         "events": events,
         "events_per_sec_traced": round(events_per_sec_traced),
         "events_per_sec_untraced": round(events_per_sec_untraced),
-        "events_per_sec_stream_obs": round(events_per_sec_stream_obs),
         "ceiling_pct": OVERHEAD_CEILING * 100,
         "noise_floor_seconds": NOISE_FLOOR_SECONDS,
     }
     record("obs_overhead", table + f"\n\nprobe events/sec: "
            f"{events_per_sec_traced:,.0f} traced / "
-           f"{events_per_sec_untraced:,.0f} untraced ({events} events); "
-           f"stream ops/sec with derived obs: "
-           f"{events_per_sec_stream_obs:,.0f}",
+           f"{events_per_sec_untraced:,.0f} untraced ({events} events)",
            data)
     if not SMOKE:
         with open(ROOT_JSON, "w") as fh:
@@ -285,14 +202,6 @@ def test_obs_overhead(benchmark):
         f"of {traced_allowance:.3f}s "
         f"({TRACED_OVERHEAD_CEILING * 100:.0f}% of the {reference:.3f}s "
         f"reference leg) — the recorder/bus/sampler hot paths regressed"
-    )
-    stream_allowance = overhead_allowance(stream_bare, STREAM_OBS_CEILING)
-    assert stream_obs - stream_bare <= stream_allowance, (
-        f"stream-derived observability costs {stream_obs - stream_bare:.3f}s "
-        f"({stream_overhead * 100:+.2f}%) over the bare {stream_bare:.3f}s "
-        f"stream-path leg; allowance is {stream_allowance:.3f}s (max of "
-        f"{STREAM_OBS_CEILING * 100:.0f}% and the "
-        f"{NOISE_FLOOR_SECONDS * 1000:.0f}ms noise floor)"
     )
 
 

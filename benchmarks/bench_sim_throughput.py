@@ -25,24 +25,18 @@ Two numbers justify the semantics/timing split:
   that checker rather than against the heap scheduler's inlined
   L1-hit load.
 
-A third number locks in the pre-decoded op-stream interpreter
-(:mod:`repro.sim.opstream`): the ``stream`` forward mode replays the
-same run from a recorded integer-coded stream and must beat the
-generator replay loop by ``STREAM_SPEEDUP_FLOOR``.
-
-``test_throughput_ratchet`` additionally holds two absolute rates
-above committed floors (``benchmarks/baselines/throughput_floor.json``):
-the stream interpreter's events/sec and the detailed-timing heap
-scheduler's ops/sec, the path behind every paper figure.  Each is
-ratcheted the same way ``repro regress --update-baselines`` ratchets
-perf baselines (set ``REPRO_UPDATE_FLOOR=1`` to raise it to the
-measured rate; it never lowers itself).  ``REPRO_FLOOR_SCALE``
-multiplies the floors, which is how CI proves each leg actually
-trips.
+``test_throughput_ratchet`` additionally holds an absolute rate
+above a committed floor (``benchmarks/baselines/throughput_floor.json``):
+the detailed-timing heap scheduler's ops/sec, the path behind every
+paper figure.  It is ratcheted the same way
+``repro regress --update-baselines`` ratchets perf baselines (set
+``REPRO_UPDATE_FLOOR=1`` to raise it to the measured rate; it never
+lowers itself).  ``REPRO_FLOOR_SCALE`` multiplies the floor, which is
+how CI proves the leg actually trips.
 
 Timings here are real wall-clock, so the on-disk result cache is
 deliberately bypassed: both campaign legs run ``check_variant``
-directly and streams are recorded in-process.
+directly.
 """
 
 import json
@@ -57,7 +51,6 @@ from repro.analysis.crashlab import crash_plans_for
 from repro.analysis.reporting import format_table
 from repro.sim.config import tiny_machine
 from repro.sim.machine import Machine
-from repro.sim.opstream import record_stream
 from repro.verify import EnumerationPlan, check_variant
 from repro.workloads.tmm import TiledMatMul
 
@@ -70,17 +63,10 @@ from bench_common import (
     through_core_execute,
 )
 
-#: Forward modes: two timing models on the full machine, the cache-free
-#: replay machine (always functional timing), and the op-stream
-#: interpreter replaying a recorded stream on the same replay machine.
-FORWARD_MODES = ("detailed", "functional", "replay", "stream")
+#: Forward modes: two timing models on the full machine and the
+#: cache-free replay machine (always functional timing).
+FORWARD_MODES = ("detailed", "functional", "replay")
 FORWARD_WORKLOADS = ("tmm", "fft")
-
-#: The op-stream interpreter must beat the generator replay loop by
-#: this much on every forward workload.  Smoke streams are a few
-#: thousand ops, so fixed per-run overhead (plan lookup, stats
-#: writeback) amortizes far less; the full-size floor is the real bar.
-STREAM_SPEEDUP_FLOOR = 3.0 if SMOKE else 10.0
 
 #: Committed absolute floor for the ratchet job (see
 #: ``test_throughput_ratchet``).
@@ -91,10 +77,8 @@ FLOOR_PATH = os.path.join(
 #: A ratchet update writes ``measured * RATCHET_MARGIN`` so normal
 #: machine-to-machine and CI-runner variance stays above the floor.
 #: Shared CI runners measure several times slower than a quiet dev
-#: machine, so the margin is deliberately generous: the floor's job is
-#: to catch the interpreter falling back toward generator-replay rates
-#: (a ~100x cliff), not to police single-digit percentages.  On the
-#: detailed leg it likewise trips only on a slowdown of 8x or more.
+#: machine, so the margin is deliberately generous: the floor trips
+#: only on a slowdown of 8x or more, not on single-digit percentages.
 RATCHET_MARGIN = 0.125
 
 #: Crashcheck campaign shape (kept modest: two full campaign legs run
@@ -108,35 +92,6 @@ CAMPAIGN = (
 )
 SPEEDUP_FLOOR = 1.3 if SMOKE else 3.0
 CAMPAIGN_RUNS = 2
-
-
-def _stream_throughput(workload, config, num_threads, runs=3):
-    """Warm events/sec of the op-stream interpreter for one LP run.
-
-    Records the stream once (an ordinary replay run), executes once to
-    build the memoized plan — the state a cached stream reaches after
-    its first use — then times ``runs`` executions on fresh machines
-    and keeps the best (timer noise only adds).
-    """
-    recorder = Machine(config, _replay=True)
-    bound = workload.bind(recorder, num_threads=num_threads)
-    stream, _ = record_stream(recorder, bound.threads("lp"))
-
-    def fresh():
-        machine = Machine(config, _replay=True)
-        return machine, workload.bind(machine, num_threads=num_threads)
-
-    warm, _ = fresh()
-    warm.run_stream(stream)
-
-    best = float("inf")
-    for _ in range(runs):
-        machine, rebound = fresh()
-        t0 = time.perf_counter()
-        result = machine.run_stream(stream)
-        best = min(best, time.perf_counter() - t0)
-        assert rebound.verify()
-    return result.ops_executed, best
 
 
 def _run_throughput(workload, make_machine, num_threads, runs=1):
@@ -160,11 +115,6 @@ def forward_throughput():
     for name in FORWARD_WORKLOADS:
         for mode in FORWARD_MODES:
             workload = make_workload(name)
-            if mode == "stream":
-                out[(name, mode)] = _stream_throughput(
-                    workload, machine_config(), NUM_THREADS
-                )
-                continue
             if mode == "replay":
                 make_machine = partial(Machine, machine_config(), _replay=True)
             else:
@@ -233,18 +183,11 @@ def test_sim_throughput(benchmark):
                 f"{rates['detailed'] / 1e3:.0f}k",
                 f"{rates['functional'] / 1e3:.0f}k",
                 f"{rates['replay'] / 1e3:.0f}k",
-                f"{rates['stream'] / 1e3:.0f}k",
-                f"{rates['stream'] / rates['replay']:.1f}x",
             ]
-        )
-        assert rates["stream"] >= STREAM_SPEEDUP_FLOOR * rates["replay"], (
-            f"{name}: stream interpreter {rates['stream']:.0f} ev/s is "
-            f"only {rates['stream'] / rates['replay']:.1f}x the generator "
-            f"replay loop (floor {STREAM_SPEEDUP_FLOOR}x)"
         )
     forward_table = format_table(
         ["workload", "detailed ops/s", "functional ops/s",
-         "replay ops/s", "stream ops/s", "stream speedup"],
+         "replay ops/s"],
         rows,
         title="Forward simulation throughput (lp, wall-clock)",
     )
@@ -287,28 +230,22 @@ RATCHET_PRESET = dict(n=24, bsize=8)
 RATCHET_THREADS = 2
 
 
-def ratchet_measurement(leg):
-    """Ops/sec of one ratchet leg on the fixed tiny preset (best of 5):
-    ``stream`` is the warm op-stream interpreter on a replay machine,
-    ``detailed`` the heap scheduler under detailed timing."""
+def ratchet_measurement():
+    """Ops/sec of the heap scheduler under detailed timing on the fixed
+    tiny preset (best of 5)."""
     workload = TiledMatMul(**RATCHET_PRESET)
-    if leg == "stream":
-        return _stream_throughput(
-            workload, tiny_machine(), RATCHET_THREADS, runs=5
-        )
     return _run_throughput(
         workload, partial(Machine, tiny_machine()), RATCHET_THREADS, runs=5
     )
 
 
-@pytest.mark.parametrize("leg", ["stream", "detailed"])
+@pytest.mark.parametrize("leg", ["detailed"])
 def test_throughput_ratchet(leg):
-    """The stream interpreter and the detailed-timing forward path may
-    only ever get faster.
+    """The detailed-timing forward path may only ever get faster.
 
     Fails when measured ops/sec of ``leg`` on the fixed preset drops
     below its committed floor.  ``REPRO_FLOOR_SCALE=<x>`` multiplies
-    the floor (CI uses a large scale to prove each leg trips);
+    the floor (CI uses a large scale to prove the leg trips);
     ``REPRO_UPDATE_FLOOR=1`` ratchets the leg's committed floor up to
     ``measured * RATCHET_MARGIN`` when that is higher — it never goes
     down, mirroring ``repro regress --update-baselines``.
@@ -316,7 +253,7 @@ def test_throughput_ratchet(leg):
     with open(FLOOR_PATH) as fh:
         floors = json.load(fh)
     baseline = floors[leg]
-    events, elapsed = ratchet_measurement(leg)
+    events, elapsed = ratchet_measurement()
     rate = events / elapsed
 
     if os.environ.get("REPRO_UPDATE_FLOOR", "") == "1":

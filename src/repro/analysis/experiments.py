@@ -9,11 +9,10 @@ counters, max volatility duration).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Optional, Sequence
 
-from repro.errors import ConfigError, WorkloadError
+from repro.errors import WorkloadError
 from repro.sim.cleaner import PeriodicCleaner
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
@@ -50,20 +49,6 @@ class ExperimentResult:
     #: Results carrying a series are cached under a distinct key
     #: (``Job.obs_interval``), so plain runs never pay for or see it.
     intervals: Optional[Dict[str, object]] = None
-    #: Write-attribution document (:meth:`repro.obs.profile.
-    #: WriteHeatmap.to_dict`); populated by stream-tier runs with
-    #: ``obs_interval`` set, ``None`` otherwise.
-    heatmap: Optional[Dict[str, object]] = None
-    #: Stall-attribution document (:meth:`repro.obs.profile.
-    #: StallFlame.to_dict`); same population rule as ``heatmap``.
-    flame: Optional[Dict[str, object]] = None
-    #: How the run's observability was produced: ``"probe-bus"`` (taps
-    #: on a live machine), ``"stream"`` (batch-derived from the op
-    #: stream), or ``None`` when nothing was observed.
-    obs_path: Optional[str] = None
-    #: Why a ``tier="stream"`` request fell back to the machine path
-    #: (:func:`stream_fallback_reason`); ``None`` when it did not.
-    obs_fallback_reason: Optional[str] = None
 
     @property
     def total_writes(self) -> int:
@@ -124,157 +109,6 @@ class ExperimentResult:
         }
 
 
-def stream_fallback_reason(
-    workload: Workload,
-    config: MachineConfig,
-    *,
-    cleaner_period: Optional[float] = None,
-    drain: bool = False,
-    observers: Optional[Sequence[object]] = None,
-) -> Optional[str]:
-    """Why this point cannot take the op-stream tier, or ``None``.
-
-    ``run_variant(..., tier="stream")`` consults this before routing:
-    a non-``None`` reason means the request falls back to the machine
-    path (with the reason surfaced on the result and warned about),
-    never a silent downgrade.  The conditions mirror what the stream
-    format can encode — value-deterministic, trigger-free replay runs
-    — plus which observers :mod:`repro.obs.streamobs` can derive.
-    """
-    if not workload.stream_safe:
-        return (
-            f"workload {workload.name!r} declares stream_safe=False; "
-            "its forward runs are not value-deterministic"
-        )
-    if cleaner_period is not None:
-        return "cleaner_period is set; op streams encode trigger-free runs"
-    if config.schedule_jitter:
-        return (
-            "config.schedule_jitter is nonzero; op streams encode the "
-            "jitter-free replay schedule"
-        )
-    if drain:
-        return (
-            "drain=True needs the caching hierarchy; replay machines "
-            "have none to drain"
-        )
-    if observers:
-        from repro.obs import (
-            IntervalSampler,
-            StallFlame,
-            TraceRecorder,
-            WriteHeatmap,
-        )
-
-        derivable = (IntervalSampler, WriteHeatmap, StallFlame, TraceRecorder)
-        for obs in observers:
-            if not isinstance(obs, derivable):
-                return (
-                    f"observer {type(obs).__name__} has no stream "
-                    "derivation (only IntervalSampler, WriteHeatmap, "
-                    "StallFlame and TraceRecorder do)"
-                )
-    return None
-
-
-def _run_stream_variant(
-    workload: Workload,
-    config: MachineConfig,
-    variant: str,
-    num_threads: int,
-    engine: str,
-    verify: bool,
-    obs_interval: Optional[float],
-    observers: Optional[Sequence[object]],
-    provenance: bool,
-) -> ExperimentResult:
-    """The ``tier="stream"`` body: record the point's op stream (one
-    ordinary replay run — recording *is* the run) and batch-derive any
-    requested observability from the stream instead of tapping probes.
-    """
-    from repro.sim.opstream import record_stream
-
-    machine = Machine(config, _replay=True)
-    bound = workload.bind(machine, num_threads=num_threads, engine=engine)
-    if provenance:
-        bound.provenance = True
-    stream, result = record_stream(machine, bound.threads(variant))
-
-    intervals = heatmap_doc = flame_doc = None
-    want_obs = obs_interval is not None or bool(observers)
-    if want_obs:
-        from repro.obs import (
-            IntervalSampler,
-            StallFlame,
-            TraceRecorder,
-            WriteHeatmap,
-        )
-        from repro.obs.streamobs import (
-            derive_flame,
-            derive_heatmap,
-            derive_recorder,
-            derive_sampler,
-        )
-
-        if obs_interval is not None:
-            intervals = derive_sampler(stream, obs_interval).series()
-            heatmap_doc = derive_heatmap(stream, machine).to_dict()
-            flame_doc = derive_flame(
-                stream, root=f"{workload.name}/{variant}"
-            ).to_dict()
-        fresh = None  # pre-run image for load-result recovery
-        for obs in observers or ():
-            if isinstance(obs, IntervalSampler):
-                derived = derive_sampler(stream, obs.interval)
-                obs._sum.update(derived._sum)
-            elif isinstance(obs, WriteHeatmap):
-                derived = derive_heatmap(stream, machine)
-                obs._line_stores = derived._line_stores
-                obs._line_flushes = derived._line_flushes
-                obs._region_bases = derived._region_bases
-                obs._regions = derived._regions
-            elif isinstance(obs, StallFlame):
-                obs._stacks = derive_flame(stream, root=obs.root)._stacks
-            elif isinstance(obs, TraceRecorder):
-                if fresh is None:
-                    # The recording machine's memory is post-run; load
-                    # results must be recovered against the *initial*
-                    # image, so bind the point once more.
-                    fresh = Machine(config, _replay=True)
-                    workload.bind(
-                        fresh, num_threads=num_threads, engine=engine
-                    )
-                obs.ops.extend(derive_recorder(stream, fresh).ops)
-
-    verified = bound.verify() if verify else True
-    if verify and not verified:
-        raise WorkloadError(
-            f"{workload.name}/{variant} produced a wrong result; "
-            f"max error {bound.verification_error()}"
-        )
-    return ExperimentResult(
-        workload=workload.name,
-        variant=variant,
-        num_threads=num_threads,
-        exec_cycles=result.exec_cycles,
-        nvmm_writes=result.stats.nvmm_writes,
-        drain_writes=0,
-        nvmm_reads=result.stats.nvmm_reads,
-        l2_miss_rate=result.stats.l2_miss_rate,
-        max_volatility_cycles=result.stats.max_volatility_cycles,
-        hazards=result.stats.hazard_totals(),
-        writes_by_cause=dict(result.stats.writes_by_cause),
-        verified=verified,
-        ops_executed=result.ops_executed,
-        cleaner_writes=result.stats.writes_by_cause.get("cleaner", 0),
-        stalls=result.stats.stall_summary(),
-        intervals=intervals,
-        heatmap=heatmap_doc,
-        flame=flame_doc,
-        obs_path="stream" if want_obs else None,
-    )
-
-
 def run_variant(
     workload: Workload,
     config: MachineConfig,
@@ -287,7 +121,6 @@ def run_variant(
     obs_interval: Optional[float] = None,
     observers: Optional[Sequence[object]] = None,
     provenance: bool = False,
-    tier: str = "machine",
 ) -> ExperimentResult:
     """Run one variant start-to-finish and collect its metrics.
 
@@ -302,55 +135,12 @@ def run_variant(
     profilers (:class:`repro.obs.profile.StallFlame`) fold into
     per-phase attribution; untagged runs are byte-identical to
     pre-provenance ones.
-
-    ``tier="stream"`` routes the point through the op-stream tier: one
-    recording replay run, with requested observability *derived* from
-    the stream in batch (:mod:`repro.obs.streamobs`) instead of paying
-    per-event probe callbacks — the result additionally carries
-    ``heatmap``/``flame`` documents and ``obs_path="stream"``.  Stream
-    runs report the replay tier's functional metrics (no caches, no
-    stalls, no NVMM traffic), exactly like :meth:`Machine.run_stream
-    <repro.sim.machine.Machine.run_stream>`.  Points the stream format
-    cannot encode fall back to the machine path with a warning and the
-    reason on ``obs_fallback_reason``
-    (:func:`stream_fallback_reason`).
     """
-    if tier not in ("machine", "stream"):
-        raise ConfigError(
-            f"unknown execution tier {tier!r} (machine|stream)"
-        )
     workload.check_variant(variant)
     if num_threads > config.num_cores:
         raise WorkloadError(
             f"{num_threads} threads need at least {num_threads} cores, "
             f"config has {config.num_cores}"
-        )
-    fallback_reason = None
-    if tier == "stream":
-        fallback_reason = stream_fallback_reason(
-            workload,
-            config,
-            cleaner_period=cleaner_period,
-            drain=drain,
-            observers=observers,
-        )
-        if fallback_reason is None:
-            return _run_stream_variant(
-                workload,
-                config,
-                variant,
-                num_threads,
-                engine,
-                verify,
-                obs_interval,
-                observers,
-                provenance,
-            )
-        warnings.warn(
-            f"stream tier unavailable for {workload.name}/{variant}: "
-            f"{fallback_reason}; taking the machine path",
-            RuntimeWarning,
-            stacklevel=2,
         )
     machine = Machine(config)
     if cleaner_period is not None:
@@ -404,12 +194,6 @@ def run_variant(
         cleaner_writes=result.stats.writes_by_cause.get("cleaner", 0),
         stalls=result.stats.stall_summary(),
         intervals=sampler.series() if sampler is not None else None,
-        obs_path=(
-            "probe-bus"
-            if (obs_interval is not None or observers)
-            else None
-        ),
-        obs_fallback_reason=fallback_reason,
     )
 
 

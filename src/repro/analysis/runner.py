@@ -176,11 +176,6 @@ class Job:
     #: Same keying discipline as ``obs_interval``: in the key only when
     #: on, so untagged jobs keep their pre-provenance keys.
     provenance: bool = False
-    #: Execution tier: ``"machine"`` (default, the full scheduling
-    #: machine) or ``"stream"`` (record + replay through the op-stream
-    #: interpreter with batch-derived observability where eligible).
-    #: In the key only when non-default, so existing keys are stable.
-    tier: str = "machine"
 
     def cache_key(self) -> str:
         """Content-addressed identity of this job's result."""
@@ -202,8 +197,6 @@ class Job:
             payload["obs_interval"] = self.obs_interval
         if self.provenance:
             payload["provenance"] = True
-        if self.tier != "machine":
-            payload["tier"] = self.tier
         return hashlib.sha256(
             json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
         ).hexdigest()
@@ -235,7 +228,6 @@ class Job:
             drain=self.drain,
             obs_interval=self.obs_interval,
             provenance=self.provenance,
-            tier=self.tier,
         )
 
 
@@ -496,7 +488,7 @@ class ResultCache:
             raise
         self.stats.stores += 1
 
-    # -- binary sidecar blobs (pre-decoded op streams) -------------------
+    # -- binary sidecar blobs (recorded op streams) ----------------------
 
     def _blob_path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], key + ".npz")
@@ -517,7 +509,7 @@ class ResultCache:
         except FileNotFoundError:
             self.stats.misses += 1
             return None
-        except (ValueError, KeyError, OSError):
+        except ValueError:
             self.stats.misses += 1
             self.stats.corrupt += 1
             try:
@@ -603,15 +595,15 @@ def cached_op_stream(
     engine: str = "modular",
     cache: Optional[ResultCache] = None,
 ):
-    """The pre-decoded op stream for one forward point: load it from
-    the cache, or record it once (one ordinary replay run) and store it.
+    """The recorded op stream for one forward point: load it from the
+    cache, or record it once (one ordinary replay run) and store it.
 
-    Returns a :class:`repro.sim.opstream.OpStream` ready for
-    :meth:`Machine.run_stream <repro.sim.machine.Machine.run_stream>`.
-    Streams are only valid for value-deterministic forward runs —
-    workloads advertising ``stream_safe = False`` are refused —
-    and only encode the trigger-free replay schedule (crash and
-    recovery runs always take the generator paths).
+    Returns a :class:`repro.sim.opstream.OpStream`;
+    :meth:`~repro.sim.opstream.OpStream.decode` yields its
+    ``(core_id, op)`` pairs.  Streams are only valid for
+    value-deterministic forward runs — workloads advertising
+    ``stream_safe = False`` are refused — and only encode the
+    trigger-free replay schedule.
     """
     from repro.sim.machine import Machine
     from repro.sim.opstream import record_stream

@@ -223,7 +223,6 @@ def _cmd_run(args) -> int:
         cleaner_period=args.cleaner_period,
         drain=args.drain,
         obs_interval=args.obs_interval,
-        tier=args.tier,
     )
     wall_clock_s = time.perf_counter() - started
     rows = [[k, v] for k, v in sorted(result.summary_dict().items())]
@@ -233,10 +232,6 @@ def _cmd_run(args) -> int:
             title=f"{args.workload}+{args.variant} ({args.threads} threads)",
         )
     )
-    if result.obs_path is not None:
-        print(f"\n[observability: {result.obs_path} path]")
-    if result.obs_fallback_reason is not None:
-        print(f"[stream tier fell back: {result.obs_fallback_reason}]")
     if args.obs_out:
         if result.intervals is None:
             raise SystemExit("--obs-out requires --obs-interval")
@@ -1099,13 +1094,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--report-out", default=None, metavar="FILE",
         help="write a RunReport manifest (JSON) for `repro report`",
     )
-    p_run.add_argument(
-        "--tier", choices=["machine", "stream"], default="machine",
-        help="execution tier (stream: one recording replay run with "
-        "observability batch-derived from the op stream; falls back "
-        "to the machine path, with the reason printed, on points the "
-        "stream format cannot encode)",
-    )
 
     p_trace = sub.add_parser(
         "trace", help="record a run and export a Perfetto/Chrome trace"
@@ -1201,8 +1189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dash = sub.add_parser(
         "dashboard",
         help="render RunReports + telemetry journals as a self-contained "
-        "HTML dashboard (sparklines, heatmap bars, job timeline, "
-        "verification coverage)",
+        "HTML dashboard (sparklines, job timeline, verification "
+        "coverage)",
     )
     p_dash.add_argument(
         "inputs", nargs="*", metavar="REPORT.json|JOURNAL.jsonl",

@@ -32,11 +32,6 @@ visibility without touching the simulator's hot path:
 * :mod:`repro.obs.baseline` — the regression sentinel: committed
   baselines with noise bands under ``benchmarks/baselines/``, gated
   by ``repro regress`` in CI.
-* :mod:`repro.obs.streamobs` — the same observer surface **derived in
-  batch** from a pre-decoded op stream (``derive_sampler`` /
-  ``derive_heatmap`` / ``derive_flame`` / ``derive_recorder``),
-  bit-reconciled against a probed replay run — observability for the
-  100x fast path without per-event callbacks.
 * :mod:`repro.obs.dashboard` — ``render_dashboard``: run reports,
   harness telemetry, and verification coverage as one self-contained
   HTML page (``repro dashboard``, ``repro watch``).
@@ -95,12 +90,6 @@ from repro.obs.profile import (
 )
 from repro.obs.recorder import TraceRecorder
 from repro.obs.report import RunReport, render_reports
-from repro.obs.streamobs import (
-    derive_flame,
-    derive_heatmap,
-    derive_recorder,
-    derive_sampler,
-)
 from repro.obs.taps import attach_probes, detach_probes, probed
 
 __all__ = [
@@ -132,10 +121,6 @@ __all__ = [
     "attach_probes",
     "detach_probes",
     "probed",
-    "derive_sampler",
-    "derive_heatmap",
-    "derive_flame",
-    "derive_recorder",
     "render_dashboard",
     "CoverageStats",
     "EpochCoverage",

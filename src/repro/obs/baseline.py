@@ -213,7 +213,7 @@ class BaselineStore:
             if isinstance(data, dict) and "schema" not in data:
                 # Not a baseline record: the directory also holds other
                 # committed gate artifacts (e.g. throughput_floor.json,
-                # the ratchet floor for the op-stream interpreter).
+                # the detailed-timing throughput ratchet floor).
                 continue
             out.append(name[: -len(".json")])
         return out

@@ -5,8 +5,7 @@ RunReport` manifests — plus the telemetry and coverage documents
 :func:`~repro.obs.journal.journal_summary` folds from a journal — into
 one self-contained HTML page: headline tiles, a metric comparison
 table, per-run interval sparklines (SVG, from each report's
-``intervals`` series), per-region write/store bars
-(from ``heatmap``), a per-job timeline of the harness's spans
+``intervals`` series), a per-job timeline of the harness's spans
 (queue/run wall clock, cache hits vs full runs), and a verification-
 coverage panel (per-epoch bar strips + a scheme×workload grid over
 :class:`~repro.obs.coverage.CoverageStats` documents).  No external
@@ -65,7 +64,6 @@ th:first-child, td:first-child { text-align: left; }
         padding: 0.8rem 1rem; margin: 0.8rem 0; }
 .spark { display: inline-block; margin: 0 0.9rem 0.4rem 0; }
 .spark .lbl { font-size: 0.7rem; color: #5b6b7a; display: block; }
-.bar { fill: #4c88c8; } .bar.alt { fill: #74b06f; }
 .span-run { fill: #4c88c8; } .span-hit { fill: #74b06f; }
 .axis { font-size: 0.65rem; fill: #5b6b7a; }
 .muted { color: #5b6b7a; font-size: 0.8rem; }
@@ -115,37 +113,6 @@ def _spark_columns(columns: Dict[str, List[float]]) -> List[str]:
     names = sorted(n for n in columns if n.startswith("ops.core"))
     names += [n for n in _SPARK_COLUMNS if n in columns]
     return names
-
-
-def _region_bars(regions: Dict[str, Dict[str, object]]) -> str:
-    """Horizontal write/store bars, one row per allocator region."""
-    rows = []
-    peak = 1
-    for info in regions.values():
-        peak = max(
-            peak, int(info.get("writes", 0)), int(info.get("stores", 0))
-        )
-    for name in sorted(regions):
-        info = regions[name]
-        writes = int(info.get("writes", 0))
-        stores = int(info.get("stores", 0))
-        w_px = int(260 * writes / peak)
-        s_px = int(260 * stores / peak)
-        rows.append(
-            f"<tr><td>{_esc(name)}</td>"
-            f'<td><svg width="270" height="14">'
-            f'<rect class="bar" width="{w_px}" height="6" y="0"/>'
-            f'<rect class="bar alt" width="{s_px}" height="6" y="8"/>'
-            f"</svg></td>"
-            f"<td>{writes:,}</td><td>{stores:,}</td>"
-            f"<td>{int(info.get('flushes', 0)):,}</td></tr>"
-        )
-    return (
-        "<table><tr><th>region</th><th>writes / stores</th>"
-        "<th>writes</th><th>stores</th><th>flushes</th></tr>"
-        + "".join(rows)
-        + "</table>"
-    )
 
 
 def _timeline(telemetry: Dict[str, object]) -> str:
@@ -351,11 +318,6 @@ def _report_card(report: RunReport) -> str:
             )
             for name in _spark_columns(columns):
                 parts.append(_sparkline(name, columns[name]))
-    if report.heatmap is not None:
-        regions = report.heatmap.get("regions")
-        if isinstance(regions, dict) and regions:
-            parts.append("<h3>write heatmap</h3>")
-            parts.append(_region_bars(regions))
     parts.append("</div>")
     return "".join(parts)
 

@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.config import MachineConfig
 
 #: Bumped when the report layout changes incompatibly.
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 #: Metrics the comparison table normalizes against the first report.
 _NORMALIZED_METRICS = ("exec_cycles", "nvmm_writes")
@@ -58,16 +58,6 @@ class RunReport:
     #: when the run was sampled; rendered as sparklines by
     #: ``repro dashboard``.
     intervals: Optional[Dict[str, object]] = None
-    #: Write-attribution document (``ExperimentResult.heatmap``).
-    heatmap: Optional[Dict[str, object]] = None
-    #: How stream-tier observability was actually derived:
-    #: ``"stream"`` (batch derivation), ``"probe-bus"`` (fell back to
-    #: per-event probes), or None (machine tier / not applicable).
-    obs_path: Optional[str] = None
-    #: Why a stream-tier run fell back to the probe bus (None when it
-    #: did not) — surfaced so silent fallbacks stay visible when
-    #: comparing results.
-    obs_fallback_reason: Optional[str] = None
     schema: int = REPORT_SCHEMA_VERSION
 
     @classmethod
@@ -104,9 +94,6 @@ class RunReport:
             metrics=metrics,
             workload_params=dict(workload_params or {}),
             intervals=result.intervals,
-            heatmap=result.heatmap,
-            obs_path=result.obs_path,
-            obs_fallback_reason=result.obs_fallback_reason,
         )
 
     # -- (de)serialization --------------------------------------------------
@@ -186,19 +173,6 @@ def render_reports(
         ["code version"] + [r.code_version[:12] for r in reports],
         ["wall clock (s)"] + [r.wall_clock_s for r in reports],
     ]
-    # Observability-derivation rows only when some report carries them:
-    # plain machine-tier comparisons keep their pre-stream-tier shape,
-    # while any stream-tier run makes a silent probe-bus fallback (and
-    # its reason) visible across the whole comparison.
-    if any(r.obs_path is not None for r in reports):
-        manifest_rows.append(
-            ["obs path"] + [r.obs_path or "-" for r in reports]
-        )
-    if any(r.obs_fallback_reason is not None for r in reports):
-        manifest_rows.append(
-            ["obs fallback"]
-            + [r.obs_fallback_reason or "-" for r in reports]
-        )
 
     metric_rows: List[List[object]] = []
     for name in sorted(metric_names):

@@ -35,9 +35,7 @@ Channels nobody subscribed to are not tapped at all (``ProbeBus.wants``).
 Replay machines (``Machine(_replay=True)``) may be tapped too: a
 probed replay machine takes the general scheduling loop instead of the
 inlined ``_run_replay`` fast path (the two interleave identically), so
-every op still crosses ``Core.execute``.  That probed replay run is
-the reconciliation reference the stream-derived observers in
-:mod:`repro.obs.streamobs` are pinned against.  Likewise, a
+every op still crosses ``Core.execute``.  Likewise, a
 detailed-timing machine whose ``execute`` or ``on_event`` is tapped
 skips the heap scheduler's inlined L1-hit load (decided once per
 run), so those taps see every op; taps on other channels never fire

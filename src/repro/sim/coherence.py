@@ -487,13 +487,9 @@ class ReplayHierarchy:
     dirty set and persist order are intentionally vacuous);
     :meth:`repro.sim.machine.Machine.crash_state_space` guards this.
 
-    The op-stream interpreter (:mod:`repro.sim.opstream`) vectorises
-    exactly this class's semantics — stores as fancy-indexed array
-    assignment, :meth:`flush_line` as a bulk arch→persistent copy of
-    the line's present elements, loads as no-ops (every access hits and
-    the recorded coroutines already consumed their values).  Changing
-    replay semantics here therefore requires the matching change there;
-    ``tests/verify/test_stream_equivalence.py`` pins the pair together.
+    ``Machine._run_replay`` inlines this class's load and store paths;
+    ``tests/verify/test_timing_equivalence.py`` pins that loop to the
+    heap scheduler driving this class through ``Core.execute``.
     """
 
     def __init__(self, mem: MemoryState, mc: MemoryController) -> None:

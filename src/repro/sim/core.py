@@ -28,14 +28,11 @@ hooks) and narrates what happened to a pluggable
 structures, and every stall.  Dispatch is a type-keyed handler table
 shared by all timing models (no isinstance chain).
 
-This handler table is the first of three execution tiers.  The machine
-scheduler inlines the hot handlers for trigger-free replay runs
+This handler table is the reference semantics.  The machine scheduler
+inlines the hot handlers for trigger-free replay runs
 (:meth:`Machine._run_replay <repro.sim.machine.Machine._run_replay>`),
-and the op-stream interpreter (:mod:`repro.sim.opstream`) replaces
-per-op dispatch entirely with batched array operations over a recorded
-stream.  All three are pinned op-for-op equivalent by ``tests/verify``;
-a semantic change to any handler here must be mirrored in both fast
-tiers.
+pinned op-for-op equivalent to the heap scheduler by ``tests/verify``;
+a semantic change to any handler here must be mirrored in that loop.
 
 The heap scheduler (:meth:`Machine.run <repro.sim.machine.Machine.run>`)
 also inlines one handler under detailed timing: a load that hits in

@@ -99,11 +99,9 @@ MemoryEvent = Union[
 
 #: Terminal events — the ones the functional timing model charges its
 #: single cycle to (reserve-phase events are free).  This is the
-#: event-level statement of the one-cycle-per-op invariant; the op-level
-#: image is :data:`repro.sim.isa.COSTED_OPCODES` (each costed op emits
-#: exactly one of these), which is what lets the op-stream interpreter
-#: (:mod:`repro.sim.opstream`) reconstruct functional clocks without
-#: replaying the event stream at all.  Keep the two in sync.
+#: event-level statement of the one-cycle-per-op invariant that
+#: ``Machine._run_replay`` inlines: every op except RegionMark, Phase
+#: and Barrier emits exactly one of these.
 FUNCTIONAL_TICKS = frozenset(
     {LoadCommit, StoreCommit, ComputeIssue, FlushCommit, FenceIssue}
 )

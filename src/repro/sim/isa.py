@@ -101,10 +101,10 @@ Op = Union[
 
 
 # ----------------------------------------------------------------------
-# integer op encoding (the pre-decoded stream format)
+# integer op encoding (the recorded op-stream format)
 # ----------------------------------------------------------------------
 
-#: Integer opcodes for the flat pre-decoded op-stream format
+#: Integer opcodes for the flat recorded op-stream format
 #: (:mod:`repro.sim.opstream`).  The numbering is part of the on-disk
 #: stream layout: reordering or renumbering it invalidates every cached
 #: stream, which is safe only because stream cache keys include
@@ -133,17 +133,3 @@ OPCODES = {
     Phase: OP_PHASE,
     Barrier: OP_BARRIER,
 }
-
-#: Opcode -> op class (decode direction); index equals the opcode.
-OP_TYPES = (
-    Load, Store, Compute, Flush, FlushWB, Fence, RegionMark, Phase, Barrier
-)
-
-#: Opcodes that advance the issuing core's functional clock by one
-#: cycle.  RegionMark and Phase are free everywhere; Barrier costs no
-#: cycles itself (the release synchronises clocks instead).  This is
-#: the same invariant the replay fast loop inlines — the stream
-#: interpreter and ``Machine._run_replay`` must agree on it.
-COSTED_OPCODES = frozenset(
-    {OP_LOAD, OP_STORE, OP_COMPUTE, OP_FLUSH, OP_FLUSHWB, OP_FENCE}
-)

@@ -19,7 +19,6 @@ import heapq
 import random
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     Generator,
@@ -54,9 +53,6 @@ from repro.sim.persist import CrashStateSpace, PersistOrderTracker
 from repro.sim.stats import CoreStats, MachineStats
 from repro.sim.timing import CoreTiming, DetailedCoreTiming, make_timing_model
 from repro.sim.valuestore import MemoryState
-
-if TYPE_CHECKING:  # runtime import stays lazy (opstream imports us back)
-    from repro.sim.opstream import OpStream
 
 ThreadGen = Generator[Op, Optional[float], None]
 
@@ -108,9 +104,12 @@ class Machine:
     takes the general scheduling loop instead of the inlined
     ``_run_replay`` fast path (the two interleave identically), and a
     detailed machine with op or memory-event taps skips the
-    scheduler's inlined L1-hit load, so the taps still see every op;
-    stream runs derive the same surface in batch via
-    :mod:`repro.obs.streamobs`.
+    scheduler's inlined L1-hit load, so the taps still see every op.
+
+    Execution has two paths: the heap scheduler in :meth:`run`, and
+    for trigger-free replay runs the round-robin :meth:`_run_replay`
+    loop, which ``tests/verify/test_timing_equivalence.py`` pins to
+    the heap scheduler.
     """
 
     def __init__(
@@ -145,9 +144,8 @@ class Machine:
         #: Persistency model in effect (see :mod:`repro.sim.model`).
         self.pmodel = get_model(config.model)
         #: eADR-class models persist at store time; the flag lives on
-        #: the value store so every execution tier (heap scheduler,
-        #: replay loop, op-stream interpreter) inherits it through the
-        #: one store entry point.
+        #: the value store so both execution paths (heap scheduler and
+        #: replay loop) inherit it through the one store entry point.
         self.mem.persist_on_store = self.pmodel.persist_on_store
         #: Persist-order recorder for crash-state enumeration.  Absent
         #: on models whose durability is completion-timed (pre-ADR: MC
@@ -266,8 +264,7 @@ class Machine:
             # its interleaving exactly matches this general loop (see
             # _run_replay), so the choice is pure mechanics.  Probed
             # replay machines stay on the general loop so the taps see
-            # every op — that run is the reconciliation reference for
-            # the stream-derived observability layer.
+            # every op.
             return self._run_replay(gens)
 
         cores = self.cores
@@ -584,21 +581,6 @@ class Machine:
             total_threads=len(gens),
             flush_ops=flush_ops,
         )
-
-    def run_stream(self, stream: "OpStream") -> RunResult:
-        """Interpret a pre-decoded op stream (see :mod:`repro.sim.opstream`).
-
-        The third execution tier: heap scheduler (general), generator
-        fast loop (:meth:`_run_replay`), and this — a table-driven
-        interpreter over integer-coded op arrays, for replay runs whose
-        op sequence was recorded once and cached.  Bit-identical to
-        running the original coroutines on this machine; valid only on
-        a fresh, trigger-free replay machine (enforced by the
-        interpreter).
-        """
-        from repro.sim.opstream import execute_stream
-
-        return execute_stream(self, stream)
 
     # ------------------------------------------------------------------
     # persistence / crash

@@ -40,8 +40,8 @@ The flags below are the *entire* behavioural surface: the memory
 controller keys undo records off :attr:`PersistencyModel.mc_undo`, the
 hierarchy keys flush/store traffic off :attr:`flush_writes` /
 :attr:`store_writes`, :class:`~repro.sim.valuestore.MemoryState` keys
-store-time durability off :attr:`persist_on_store` (which the replay
-tiers and the op-stream interpreter inherit), and the persist-order
+store-time durability off :attr:`persist_on_store` (which both
+execution paths inherit), and the persist-order
 tracker keys fence semantics off :attr:`fence_commits` /
 :attr:`epoch_edges`.
 """
@@ -62,8 +62,7 @@ class PersistencyModel:
     #: One-line description (CLI help, docs tables).
     summary: str
     #: Stores are durable the moment they execute (persistence domain
-    #: includes the caches).  Read by MemoryState.store and the
-    #: op-stream interpreter.
+    #: includes the caches).  Read by MemoryState.store.
     persist_on_store: bool
     #: Flush instructions traverse the hierarchy to the MC.  False
     #: makes ``clflushopt``/``clwb`` architectural no-ops: no MC

@@ -22,10 +22,7 @@ completes instantly.
 
 Replay machines bypass the MC entirely: their hierarchy
 (:class:`~repro.sim.coherence.ReplayHierarchy`) persists lines
-directly, so replay runs — generator loop and op-stream interpreter
-alike (:mod:`repro.sim.opstream`) — never count ``nvmm_writes``.  The
-stream interpreter preserves that by construction (it touches no MC
-state at all), which is part of the bit-identical-counters contract.
+directly, so replay runs never count ``nvmm_writes``.
 """
 
 from __future__ import annotations

@@ -1,15 +1,14 @@
-"""Pre-decoded op streams: the replay fast path, compiled.
+"""Recorded op streams: one replay run's ops, flat and integer-coded.
 
-A trigger-free replay run is a pure function of (workload, config,
-variant): the functional model's round-robin schedule is deterministic,
-every store's value is embedded in the :class:`~repro.sim.isa.Store` op
-itself, and loads feed only the coroutine that issued them.  So the
-whole run can be *decoded once* — drive the workload coroutines through
-:meth:`Machine.run <repro.sim.machine.Machine.run>` recording the
-global interleaved op order — and every later run of the same point
-becomes interpretation of a flat, integer-coded stream with no
-generator resumption, no dataclass dispatch, and no per-op Python at
-all on the bulk path.
+A trigger-free replay run of a stream-safe workload is a pure function
+of (workload, config, variant): the functional model's round-robin
+schedule is deterministic, every store's value is embedded in the
+:class:`~repro.sim.isa.Store` op itself, and loads feed only the
+coroutine that issued them.  So the run's global interleaved op order
+can be recorded once — :func:`record_stream` drives the workload
+coroutines through an ordinary :meth:`Machine.run
+<repro.sim.machine.Machine.run>` with a forwarding proxy around each
+thread — and kept as data.
 
 The stream format is five parallel numpy arrays (one row per executed
 op, in global execution order):
@@ -26,28 +25,11 @@ aux      int32     index into ``labels`` for RegionMark/Phase labels and
                    Compute kinds; -1 = no label (a Phase pop)
 ======== ========= ====================================================
 
-:func:`execute_stream` interprets a stream on a fresh replay machine
-with **array-backed state**: architectural and persistent values live
-in dense float64 arrays (one slot per distinct address the stream or
-the machine's initial image touches) with present-bit arrays alongside
-— the array form of :class:`~repro.sim.valuestore.MemoryState`'s two
-dicts.  Execution is batched at persist boundaries: every run of
-non-flush ops between two Flush/FlushWB ops applies its stores with one
-fancy-indexed assignment (numpy guarantees the last value wins on
-duplicate indices, which is exactly program order within a segment),
-and each flush then copies its line's present elements arch ->
-persistent, the array form of
-:meth:`~repro.sim.valuestore.MemoryState.persist_line`.  Consecutive
-flushes with no stores between them collapse into one vectorised copy.
-Clocks and counters are reconstructed exactly (see
-:class:`_SchedulePlan`): every op costs one functional cycle except
-RegionMark/Phase (free) and Barrier (free, but a barrier round
-synchronises all parked cores to the latest arrival) — the same
-invariant :meth:`Machine._run_replay` inlines, pinned bit-identical by
-``tests/verify/test_stream_equivalence.py``.
-
-Streams are cached on disk by :func:`repro.analysis.runner.
-cached_op_stream` under a content-addressed key that includes
+:meth:`OpStream.decode` rebuilds the ``(core_id, op)`` pairs, the exact
+inverse of :func:`encode_ops`; :func:`save_stream`/:func:`load_stream`
+are the on-disk ``.npz`` form.  Streams are cached by
+:func:`repro.analysis.runner.cached_op_stream` under a
+content-addressed key that includes
 :func:`~repro.analysis.runner.code_version`, so editing the simulator
 or a workload invalidates every stale stream automatically.
 """
@@ -55,7 +37,10 @@ or a workload invalidates every stale stream automatically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import tokenize
+import zipfile
+import zlib
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -70,7 +55,6 @@ from typing import (
 import numpy as np
 
 from repro.errors import ConfigError, SimulationError
-from repro.sim.config import ELEMENT_BYTES, LINE_BYTES
 from repro.sim.isa import (
     OP_BARRIER,
     OP_COMPUTE,
@@ -81,7 +65,6 @@ from repro.sim.isa import (
     OP_MARK,
     OP_PHASE,
     OP_STORE,
-    OP_TYPES,
     OPCODES,
     Barrier,
     Compute,
@@ -95,22 +78,25 @@ from repro.sim.isa import (
     Store,
 )
 
-if TYPE_CHECKING:  # circular at runtime: machine imports this lazily
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.machine import Machine, RunResult
 
 #: Bumped whenever the on-disk stream layout changes.
 STREAM_FORMAT_VERSION = 1
 
-_ELEMS_PER_LINE = LINE_BYTES // ELEMENT_BYTES
-
-#: Functional cycle cost per opcode (index = opcode): one cycle for
-#: every op except the free RegionMark/Phase/Barrier.
-_OP_COST = np.array(
-    [1, 1, 1, 1, 1, 1, 0, 0, 0], dtype=np.int64
+#: What ``np.load`` raises, besides ``ValueError``, on a truncated or
+#: bit-flipped ``.npz``: zip directory and member-header damage,
+#: corrupt deflate data, bad seek offsets, a mangled compression
+#: method, a lost member, and an unparseable ``.npy`` header.
+_DAMAGED_ARCHIVE = (
+    zipfile.BadZipFile,
+    zlib.error,
+    EOFError,
+    OSError,
+    NotImplementedError,
+    KeyError,
+    tokenize.TokenError,
 )
-
-#: Number of opcodes (row stride for the per-core x per-opcode bincount).
-_NUM_OPCODES = len(OP_TYPES)
 
 
 # ----------------------------------------------------------------------
@@ -129,20 +115,6 @@ class OpStream:
     value: "np.ndarray[Any, Any]"
     aux: "np.ndarray[Any, Any]"
     labels: List[str]
-    #: Derived interpreter state, built lazily on first execution and
-    #: reused across runs (it depends only on the stream itself plus
-    #: the initial memory image, which the cache key fixes).
-    _plan: Optional["_SchedulePlan"] = field(
-        default=None, repr=False, compare=False
-    )
-    _init: Optional["_InitImage"] = field(
-        default=None, repr=False, compare=False
-    )
-    #: Per-op functional end clocks (see :func:`op_end_cycles`), built
-    #: on demand by the stream-derived observability layer.
-    _op_end: Optional["np.ndarray[Any, Any]"] = field(
-        default=None, repr=False, compare=False
-    )
 
     def __len__(self) -> int:
         return int(self.code.shape[0])
@@ -150,8 +122,7 @@ class OpStream:
     def decode(self) -> List[Tuple[int, Op]]:
         """Rebuild ``(core_id, op)`` pairs; exact inverse of encoding.
 
-        Per-op Python, for tests and offline inspection only — the
-        interpreter never materialises op objects.
+        Per-op Python, written for tests and offline inspection.
         """
         out: List[Tuple[int, Op]] = []
         labels = self.labels
@@ -247,7 +218,7 @@ def encode_ops(
 
 
 # ----------------------------------------------------------------------
-# recording (the one decode pass)
+# recording
 # ----------------------------------------------------------------------
 
 
@@ -273,9 +244,8 @@ def record_stream(
     machine: "Machine",
     threads: Iterable[Generator[Op, Optional[float], None]],
 ) -> Tuple[OpStream, "RunResult"]:
-    """The decode pass: run ``threads`` on ``machine`` once, recording
-    the globally interleaved op order, and encode it as an
-    :class:`OpStream`.
+    """Run ``threads`` on ``machine`` once, recording the globally
+    interleaved op order, and encode it as an :class:`OpStream`.
 
     ``machine`` must be a trigger-free replay machine (the stream
     format bakes in the functional model's deterministic schedule).
@@ -309,428 +279,6 @@ def record_stream(
 
 
 # ----------------------------------------------------------------------
-# the interpreter's derived state
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class _SchedulePlan:
-    """Everything about a stream that does not depend on memory values:
-    per-core counters, reconstructed functional clocks, store/flush
-    positions, the dense address index, and the segment table.
-
-    Built once per stream (a few vectorised passes) and reused by every
-    execution."""
-
-    # per-core counters, index = core id
-    ops: "np.ndarray[Any, Any]"
-    loads: "np.ndarray[Any, Any]"
-    stores: "np.ndarray[Any, Any]"
-    computes: "np.ndarray[Any, Any]"
-    flushes: "np.ndarray[Any, Any]"
-    fences: "np.ndarray[Any, Any]"
-    cycles: "np.ndarray[Any, Any]"
-    # run totals
-    region_marks: int
-    flush_ops: int
-    # dense address space: sorted distinct element addresses
-    uniq_addrs: "np.ndarray[Any, Any]"
-    # stores, in stream order: global position, dense index, value
-    store_dense: "np.ndarray[Any, Any]"
-    store_value: "np.ndarray[Any, Any]"
-    # flush segment table: flushes grouped by identical store prefix.
-    # group g covers flushes [group_start[g], group_end[g]) in flush
-    # order; group_stores[g] is how many stores precede the group.
-    flush_elems: "np.ndarray[Any, Any]"  # (F, 8) dense idx of line elems
-    group_stores: "np.ndarray[Any, Any]"
-    group_start: "np.ndarray[Any, Any]"
-    group_end: "np.ndarray[Any, Any]"
-
-
-def _reconstruct_cycles(
-    code: "np.ndarray[Any, Any]",
-    cid: "np.ndarray[Any, Any]",
-    num_threads: int,
-) -> "np.ndarray[Any, Any]":
-    """Final per-core functional clocks, including barrier releases.
-
-    Between barrier rounds each core's clock advances by its number of
-    costed ops; a barrier round parks every core still running (those
-    with another Barrier in their stream) and releases them at the
-    latest arrival.  Barrier rounds partition the stream: a parked core
-    issues nothing until its round's last barrier has been pulled, so
-    counting costed ops in the global window between round boundaries
-    attributes every op to the right side of every release.
-    """
-    costed = _OP_COST[code.astype(np.int64)]
-    if num_threads == 1:
-        return np.array([float(np.sum(costed))])
-
-    clock = np.zeros(num_threads, dtype=np.float64)
-    barrier_pos = np.flatnonzero(code == OP_BARRIER)
-    if barrier_pos.size == 0:
-        np.add.at(clock, cid[costed.astype(bool)], 1.0)
-        return clock
-
-    barrier_cid = cid[barrier_pos]
-    rounds = int(np.bincount(barrier_cid, minlength=num_threads).max())
-    # r-th barrier position per core (-1 where a core has fewer rounds)
-    pos_by_round = np.full((rounds, num_threads), -1, dtype=np.int64)
-    seen = [0] * num_threads
-    for pos, core in zip(barrier_pos.tolist(), barrier_cid.tolist()):
-        pos_by_round[seen[core]][core] = pos
-        seen[core] += 1
-
-    # costed-op positions per core, for windowed counting
-    per_core_pos = [
-        np.flatnonzero((cid == core) & costed.astype(bool))
-        for core in range(num_threads)
-    ]
-    edges = [0]
-    parked_sets = []
-    for r in range(rounds):
-        parked = np.flatnonzero(pos_by_round[r] >= 0)
-        parked_sets.append(parked)
-        edges.append(int(pos_by_round[r].max()) + 1)
-    edges.append(int(code.shape[0]))
-    # cumulative costed counts per core at each edge
-    cum = [
-        np.searchsorted(per_core_pos[core], edges)
-        for core in range(num_threads)
-    ]
-    for r in range(rounds):
-        for core in range(num_threads):
-            clock[core] += float(cum[core][r + 1] - cum[core][r])
-        parked = parked_sets[r]
-        clock[parked] = float(clock[parked].max())
-    for core in range(num_threads):
-        clock[core] += float(cum[core][rounds + 1] - cum[core][rounds])
-    return clock
-
-
-def _build_plan(stream: OpStream) -> _SchedulePlan:
-    code = stream.code.astype(np.int64)
-    cid = stream.cid.astype(np.int64)
-    num_threads = stream.num_threads
-
-    per = np.bincount(
-        cid * _NUM_OPCODES + code,
-        minlength=num_threads * _NUM_OPCODES,
-    ).reshape(num_threads, _NUM_OPCODES)
-
-    store_mask = code == OP_STORE
-    flush_mask = (code == OP_FLUSH) | (code == OP_FLUSHWB)
-    store_pos = np.flatnonzero(store_mask)
-    flush_pos = np.flatnonzero(flush_mask)
-
-    # Dense address space: every address a load/store/flush names, plus
-    # every element of every flushed line (persist_line copies whatever
-    # of the line the architectural map holds, named or not).
-    addr_mask = store_mask | (code == OP_LOAD) | flush_mask
-    touched = stream.addr[addr_mask]
-    flush_lines = stream.addr[flush_pos] & ~np.int64(LINE_BYTES - 1)
-    line_elems = (
-        flush_lines[:, None]
-        + np.arange(_ELEMS_PER_LINE, dtype=np.int64)[None, :] * ELEMENT_BYTES
-    )
-    uniq_addrs = np.unique(np.concatenate([touched, line_elems.ravel()]))
-
-    store_dense = np.searchsorted(uniq_addrs, stream.addr[store_pos])
-    flush_elems = np.searchsorted(uniq_addrs, line_elems)
-
-    # Segment table: number of stores preceding each flush; flushes
-    # sharing that count have no stores between them and collapse into
-    # one vectorised persist.
-    stores_before = np.searchsorted(store_pos, flush_pos)
-    if flush_pos.size:
-        change = np.flatnonzero(np.diff(stores_before)) + 1
-        group_start = np.concatenate([[0], change])
-        group_end = np.concatenate([change, [flush_pos.size]])
-        group_stores = stores_before[group_start]
-    else:
-        group_start = np.zeros(0, dtype=np.int64)
-        group_end = np.zeros(0, dtype=np.int64)
-        group_stores = np.zeros(0, dtype=np.int64)
-
-    return _SchedulePlan(
-        ops=per.sum(axis=1),
-        loads=per[:, OP_LOAD],
-        stores=per[:, OP_STORE],
-        computes=per[:, OP_COMPUTE],
-        flushes=per[:, OP_FLUSH] + per[:, OP_FLUSHWB],
-        fences=per[:, OP_FENCE],
-        cycles=_reconstruct_cycles(code, cid, num_threads),
-        region_marks=int(per[:, OP_MARK].sum()),
-        flush_ops=int(flush_pos.size),
-        uniq_addrs=uniq_addrs,
-        store_dense=store_dense,
-        store_value=stream.value[store_pos],
-        flush_elems=flush_elems,
-        group_stores=group_stores,
-        group_start=group_start,
-        group_end=group_end,
-    )
-
-
-def schedule_plan(stream: OpStream) -> _SchedulePlan:
-    """The stream's memoised :class:`_SchedulePlan`, built on demand.
-
-    The plan depends only on the stream itself, so it is shared between
-    the interpreter (:func:`execute_stream`) and the stream-derived
-    observability layer (:mod:`repro.obs.streamobs`).
-    """
-    plan = stream._plan
-    if plan is None:
-        plan = _build_plan(stream)
-        stream._plan = plan
-    return plan
-
-
-def op_end_cycles(stream: OpStream) -> "np.ndarray[Any, Any]":
-    """Per-op functional end clocks, one float64 per stream row.
-
-    ``op_end_cycles(stream)[i]`` is the issuing core's clock *after*
-    row ``i`` executes under the replay schedule — exactly the ``end``
-    field the probe bus publishes in ``OpExecuted`` when the same run
-    goes through the general loop on a probed replay machine (the op's
-    start is ``end - cost``, where free ops cost zero).  Built with the
-    same barrier-round bookkeeping as :func:`_reconstruct_cycles`: each
-    core's clock is an inclusive prefix sum of costed ops plus a
-    per-round offset, where a barrier round parks every core that still
-    has a barrier in its stream and releases them all at the latest
-    arrival; Barrier rows themselves end at the release clock.
-
-    Memoised on the stream (``stream._op_end``); treat the returned
-    array as read-only.
-    """
-    cached = stream._op_end
-    if cached is not None:
-        return cached
-    code = stream.code.astype(np.int64)
-    cid = stream.cid.astype(np.int64)
-    num_threads = stream.num_threads
-    cost = _OP_COST[code]
-    n = int(code.shape[0])
-
-    # Inclusive per-core prefix sums of op cost, in stream order.
-    local = np.zeros(n, dtype=np.float64)
-    core_positions: List["np.ndarray[Any, Any]"] = []
-    for core in range(num_threads):
-        pos = np.flatnonzero(cid == core)
-        core_positions.append(pos)
-        local[pos] = np.cumsum(cost[pos])
-
-    ends = local.copy()
-    barrier_pos = np.flatnonzero(code == OP_BARRIER)
-    if barrier_pos.size:
-        barrier_cid = cid[barrier_pos]
-        rounds = int(np.bincount(barrier_cid, minlength=num_threads).max())
-        pos_by_round = np.full((rounds, num_threads), -1, dtype=np.int64)
-        seen = [0] * num_threads
-        for pos_i, core in zip(barrier_pos.tolist(), barrier_cid.tolist()):
-            pos_by_round[seen[core]][core] = pos_i
-            seen[core] += 1
-        # offsets[c][k] is core c's clock offset after its k-th barrier
-        # (k = 0: before any barrier); releases[r] is round r's release.
-        offset = np.zeros(num_threads, dtype=np.float64)
-        offsets: List[List[float]] = [[0.0] for _ in range(num_threads)]
-        releases = np.zeros(rounds, dtype=np.float64)
-        for r in range(rounds):
-            parked = np.flatnonzero(pos_by_round[r] >= 0)
-            arrive = offset[parked] + local[pos_by_round[r][parked]]
-            release = float(arrive.max())
-            releases[r] = release
-            offset[parked] = release - local[pos_by_round[r][parked]]
-            for c in parked.tolist():
-                offsets[c].append(float(offset[c]))
-        for core in range(num_threads):
-            pos = core_positions[core]
-            if pos.size == 0:
-                continue
-            own_barriers = pos_by_round[:, core]
-            own_barriers = own_barriers[own_barriers >= 0]
-            k = np.searchsorted(own_barriers, pos, side="left")
-            ends[pos] = np.asarray(offsets[core], dtype=np.float64)[k] + local[pos]
-        for r in range(rounds):
-            parked_rows = pos_by_round[r][pos_by_round[r] >= 0]
-            ends[parked_rows] = releases[r]
-    stream._op_end = ends
-    return ends
-
-
-@dataclass
-class _InitImage:
-    """The machine's pre-run memory image, gathered into the dense
-    address space: the array-backed form of the two MemoryState dicts.
-
-    Memoised on the stream after the first execution; the cache-key
-    contract (one stream per workload x config x variant) guarantees
-    every machine a stream runs on starts from the same image, which
-    ``_gather_init`` spot-checks via the fingerprint.
-    """
-
-    fingerprint: Tuple[int, int]
-    arch_values: "np.ndarray[Any, Any]"
-    arch_present: "np.ndarray[Any, Any]"
-    pers_values: "np.ndarray[Any, Any]"
-    pers_present: "np.ndarray[Any, Any]"
-
-
-def _gather_init(
-    stream: OpStream, plan: _SchedulePlan, machine: "Machine"
-) -> _InitImage:
-    mem = machine.mem
-    fingerprint = (len(mem.arch), len(mem.persistent))
-    cached = stream._init
-    if cached is not None and cached.fingerprint == fingerprint:
-        return cached
-
-    uniq = plan.uniq_addrs.tolist()
-    size = len(uniq)
-    arch_values = np.zeros(size, dtype=np.float64)
-    arch_present = np.zeros(size, dtype=bool)
-    pers_values = np.zeros(size, dtype=np.float64)
-    pers_present = np.zeros(size, dtype=bool)
-    arch = mem.arch
-    persistent = mem.persistent
-    for i, a in enumerate(uniq):
-        v = arch.get(a)
-        if v is not None:
-            arch_values[i] = v
-            arch_present[i] = True
-        p = persistent.get(a)
-        if p is not None:
-            pers_values[i] = p
-            pers_present[i] = True
-    init = _InitImage(
-        fingerprint, arch_values, arch_present, pers_values, pers_present
-    )
-    stream._init = init
-    return init
-
-
-# ----------------------------------------------------------------------
-# execution
-# ----------------------------------------------------------------------
-
-
-def execute_stream(machine: "Machine", stream: OpStream) -> "RunResult":
-    """Interpret ``stream`` on a fresh replay machine.
-
-    Bit-identical to driving the original coroutines through
-    :meth:`Machine.run <repro.sim.machine.Machine.run>`: same final
-    architectural and persistent memory, same MachineStats counters,
-    same per-core clocks (``tests/verify/test_stream_equivalence.py``
-    pins all three against the generator loop, which is itself pinned
-    against the heap scheduler).
-
-    The machine must start from the same initial image the recording
-    machine was bound with — guaranteed when both came from the same
-    (workload, config, variant) point, which is what the stream cache
-    keys on.
-    """
-    from repro.sim.machine import RunResult
-
-    if not machine.replay:
-        raise ConfigError("op streams execute on replay machines only")
-    if machine.cleaner is not None or machine.on_mark is not None:
-        raise ConfigError(
-            "op-stream execution is trigger-free (no cleaner/on_mark)"
-        )
-    if stream.num_threads > machine.config.num_cores:
-        raise ConfigError(
-            f"stream has {stream.num_threads} threads but the machine "
-            f"only {machine.config.num_cores} cores"
-        )
-    if any(c.clock for c in machine.cores) or any(
-        c.ops for c in machine.stats.per_core
-    ):
-        raise ConfigError(
-            "op streams replay whole runs; execute on a fresh machine"
-        )
-
-    plan = schedule_plan(stream)
-    init = _gather_init(stream, plan, machine)
-
-    # -- memory semantics: batched stores, vectorised persists ---------
-    arch_values = init.arch_values.copy()
-    arch_present = init.arch_present.copy()
-    pers_values = init.pers_values.copy()
-    pers_present = init.pers_present.copy()
-
-    store_dense = plan.store_dense
-    store_value = plan.store_value
-    flush_elems = plan.flush_elems
-    done = 0
-    for g in range(plan.group_start.shape[0]):
-        upto = plan.group_stores[g]
-        if upto > done:
-            seg_idx = store_dense[done:upto]
-            arch_values[seg_idx] = store_value[done:upto]
-            arch_present[seg_idx] = True
-            done = upto
-        elems = flush_elems[plan.group_start[g]:plan.group_end[g]].ravel()
-        hot = elems[arch_present[elems]]
-        pers_values[hot] = arch_values[hot]
-        pers_present[hot] = True
-    if done < store_dense.shape[0]:
-        seg_idx = store_dense[done:]
-        arch_values[seg_idx] = store_value[done:]
-        arch_present[seg_idx] = True
-
-    if machine.mem.persist_on_store:
-        # eADR-class models: every store was durable the instant it
-        # executed, so each stored address's final persistent value is
-        # its final architectural value.  Fancy assignment is last-wins
-        # in position order, so one bulk pass lands exactly what the
-        # incremental replay loop's per-store persists produce (the
-        # interleaved flush copies above are then redundant for stored
-        # addresses, as they are in the replay loop).
-        pers_values[store_dense] = store_value
-        pers_present[store_dense] = True
-
-    machine.mem.apply_updates(
-        _as_map(plan.uniq_addrs, arch_values, arch_present),
-        _as_map(plan.uniq_addrs, pers_values, pers_present),
-    )
-
-    # -- clocks and counters -------------------------------------------
-    stats = machine.stats
-    for core_id in range(stream.num_threads):
-        per_core = stats.per_core[core_id]
-        per_core.ops += int(plan.ops[core_id])
-        per_core.loads += int(plan.loads[core_id])
-        per_core.stores += int(plan.stores[core_id])
-        per_core.computes += int(plan.computes[core_id])
-        per_core.flushes += int(plan.flushes[core_id])
-        per_core.fences += int(plan.fences[core_id])
-        # every replay-machine access is an architectural L1 hit
-        per_core.l1_hits += int(plan.loads[core_id] + plan.stores[core_id])
-        machine.cores[core_id].timer.advance(float(plan.cycles[core_id]))
-        per_core.cycles = machine.cores[core_id].clock
-
-    return RunResult(
-        stats=stats,
-        crashed=False,
-        ops_executed=len(stream),
-        region_marks=plan.region_marks,
-        finished_threads=stream.num_threads,
-        total_threads=stream.num_threads,
-        flush_ops=plan.flush_ops,
-    )
-
-
-def _as_map(
-    addrs: "np.ndarray[Any, Any]",
-    values: "np.ndarray[Any, Any]",
-    present: "np.ndarray[Any, Any]",
-) -> Dict[int, float]:
-    """Materialise one dense value array back into an address map."""
-    idx = np.flatnonzero(present)
-    return dict(zip(addrs[idx].tolist(), values[idx].tolist()))
-
-
-# ----------------------------------------------------------------------
 # on-disk format
 # ----------------------------------------------------------------------
 
@@ -753,24 +301,30 @@ def save_stream(stream: OpStream, path: str) -> None:
 def load_stream(path: str) -> OpStream:
     """Read a stream written by :func:`save_stream`.
 
-    Raises ``ValueError`` on any malformed or version-mismatched file,
-    so cache layers can treat corruption as a miss.
+    Raises ``ValueError`` on any malformed, damaged or
+    version-mismatched file, so cache layers can treat corruption as a
+    miss.  A missing file still raises ``FileNotFoundError``.
     """
-    with np.load(path, allow_pickle=False) as data:
-        if int(data["format"]) != STREAM_FORMAT_VERSION:
-            raise ValueError(
-                f"stream format {int(data['format'])} != "
-                f"{STREAM_FORMAT_VERSION}"
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            if int(data["format"]) != STREAM_FORMAT_VERSION:
+                raise ValueError(
+                    f"stream format {int(data['format'])} != "
+                    f"{STREAM_FORMAT_VERSION}"
+                )
+            labels = json.loads(str(data["labels"]))
+            if not isinstance(labels, list):
+                raise ValueError("malformed label table")
+            return OpStream(
+                num_threads=int(data["num_threads"]),
+                code=data["code"],
+                cid=data["cid"],
+                addr=data["addr"],
+                value=data["value"],
+                aux=data["aux"],
+                labels=labels,
             )
-        labels = json.loads(str(data["labels"]))
-        if not isinstance(labels, list):
-            raise ValueError("malformed label table")
-        return OpStream(
-            num_threads=int(data["num_threads"]),
-            code=data["code"],
-            cid=data["cid"],
-            addr=data["addr"],
-            value=data["value"],
-            aux=data["aux"],
-            labels=labels,
-        )
+    except FileNotFoundError:
+        raise
+    except _DAMAGED_ARCHIVE as exc:
+        raise ValueError(f"unreadable op stream {path!r}: {exc}") from None

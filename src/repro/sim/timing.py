@@ -114,19 +114,6 @@ class CoreTiming(ABC):
             self.flush_queue.drain_time(self.clock),
         )
 
-    def advance(self, cycles: float) -> None:
-        """Advance the clock by a pre-computed batch of cycles.
-
-        Batch API for interpreters that reconstruct a whole run's cycle
-        arithmetic outside the event stream (the op-stream interpreter,
-        :mod:`repro.sim.opstream`, which charges each core its entire
-        reconstructed functional clock in one call).  Only meaningful
-        for models whose per-event costs are context-free — the
-        functional model's constant one-cycle tick; a detailed view
-        would lose its structural-hazard state, so nothing routes
-        batches at it.
-        """
-        self.clock += cycles
 
     # -- event handlers ----------------------------------------------------
 
@@ -348,9 +335,7 @@ class DetailedMCTiming(MCTiming):
 
 #: Terminal events — the ones that cost the functional model's single
 #: cycle per op (reserve-phase events are free).  Defined in
-#: :mod:`repro.sim.events` next to the protocol, shared with the
-#: op-stream interpreter's cost table (see
-#: :data:`repro.sim.isa.COSTED_OPCODES`).
+#: :mod:`repro.sim.events` next to the protocol.
 _TICK_EVENTS = FUNCTIONAL_TICKS
 
 

@@ -36,9 +36,8 @@ class MemoryState:
         #: persistency models, where the caches sit inside the
         #: persistence domain).  Set by the Machine from its
         #: :class:`~repro.sim.model.PersistencyModel`; placing the
-        #: branch here makes every execution tier — heap scheduler,
-        #: replay loop, op-stream interpreter — inherit it through the
-        #: one store entry point.
+        #: branch here makes both execution paths — heap scheduler and
+        #: replay loop — inherit it through the one store entry point.
         self.persist_on_store = False
 
     # -- program-visible accesses ----------------------------------------
@@ -81,20 +80,6 @@ class MemoryState:
         for addr in element_addrs_of_line(line_addr):
             if addr in self.arch:
                 self.persistent[addr] = self.arch[addr]
-
-    def apply_updates(
-        self, arch: Dict[int, Value], persistent: Dict[int, Value]
-    ) -> None:
-        """Bulk-merge pre-computed value updates into both views.
-
-        Writeback path of the op-stream interpreter
-        (:mod:`repro.sim.opstream`), which evolves dense array copies of
-        the two maps and merges the result back in one call.  Addresses
-        absent from the updates are untouched — the interpreter's dense
-        space covers exactly the addresses its stream can modify.
-        """
-        self.arch.update(arch)
-        self.persistent.update(persistent)
 
     def persisted(self, addr: int, default: Optional[Value] = None) -> Value:
         """The NVMM-image value, or ``default`` if provided."""

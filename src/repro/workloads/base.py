@@ -141,14 +141,14 @@ class Workload(ABC):
     #: crash checker must flag (e.g. tmm's ``ep_nofence``).
     broken_variants: Tuple[str, ...] = ()
     #: Whether this workload's forward runs are value-deterministic per
-    #: (workload, config, variant, threads) — the contract that lets
-    #: the analysis layer record one replay run as a pre-decoded op
-    #: stream (:mod:`repro.sim.opstream`) and reuse it for every later
-    #: run of the same point.  All registry workloads are (their only
-    #: randomness is the seeded input matrix, part of the spec); a
-    #: workload whose op sequence depends on loaded values in a
-    #: non-reproducible way must set this False to stay off the stream
-    #: cache (``repro.analysis.runner.cached_op_stream`` refuses it).
+    #: (workload, config, variant, threads) — the contract that makes
+    #: one recorded replay run (:func:`repro.sim.opstream.record_stream`)
+    #: a faithful transcript of every run of the same point.  All
+    #: kernel workloads are (their only randomness is the seeded input
+    #: matrix, part of the spec); a workload whose op sequence depends
+    #: on loaded values in a non-reproducible way must set this False
+    #: to stay off the stream cache
+    #: (``repro.analysis.runner.cached_op_stream`` refuses it).
     stream_safe: bool = True
 
     @abstractmethod

@@ -54,7 +54,7 @@ class RegionWorkload(Workload):
     )
     broken_variants = (SCHEME_WB_NOJOURNAL,)
     #: Region bodies may be value-dependent (hashmap probe loops), so
-    #: region workloads stay off the pre-decoded op-stream cache.
+    #: region workloads stay off the recorded op-stream cache.
     stream_safe = False
     #: Regions per write-behind batch (subclasses expose it as a
     #: constructor parameter).

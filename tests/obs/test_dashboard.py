@@ -9,7 +9,7 @@ from repro.errors import ConfigError
 from repro.obs import CoverageStats, RunReport, render_dashboard
 from repro.sim.config import tiny_machine
 
-from tests.analysis.test_stream_tier import _wl
+from tests.analysis.test_runner import _wl
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -33,11 +33,11 @@ TELEMETRY = {
 
 @pytest.fixture(scope="module")
 def obs_report():
-    """A stream-tier run with the full derived surface in the manifest."""
+    """A sampled machine-path run: its manifest carries the interval
+    series the dashboard draws as sparklines."""
     config = tiny_machine()
     result = run_variant(
-        _wl(), config, "lp", num_threads=2,
-        obs_interval=500.0, tier="stream",
+        _wl(), config, "lp", num_threads=2, obs_interval=500.0,
     )
     return RunReport.from_result(result, config, wall_clock_s=0.2)
 
@@ -54,11 +54,9 @@ class TestRenderDashboard:
         page = render_dashboard([obs_report])
         assert "tmm/lp" in page
         assert "exec cycles" in page
-        # Interval sparklines and heatmap bars made it in as inline SVG.
+        # Interval sparklines made it in as inline SVG.
         assert "<polyline" in page
         assert "ops.core0" in page
-        assert "write heatmap" in page
-        assert "<rect" in page
 
     def test_telemetry_section(self, obs_report):
         page = render_dashboard([obs_report], telemetry=TELEMETRY)
@@ -215,11 +213,9 @@ class TestReportObsFields:
         loaded = RunReport.load(str(path))
         assert loaded == obs_report
         assert loaded.intervals == obs_report.intervals
-        assert loaded.heatmap == obs_report.heatmap
 
     def test_plain_reports_omit_nothing_silently(self):
         config = tiny_machine()
         result = run_variant(_wl(), config, "lp", num_threads=2)
         report = RunReport.from_result(result, config, wall_clock_s=0.1)
         assert report.intervals is None
-        assert report.heatmap is None

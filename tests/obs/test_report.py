@@ -75,6 +75,16 @@ class TestRoundTrip:
         with pytest.raises(ConfigError):
             RunReport.load(str(path))
 
+    def test_load_rejects_schema_2_reports(self, lp_report, tmp_path):
+        # Schema 2 manifests carried three more fields; such a file
+        # fails on its schema, not on an unknown field.
+        path = tmp_path / "old.json"
+        data = lp_report.to_dict()
+        data["schema"] = 2
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="unsupported RunReport schema 2"):
+            RunReport.load(str(path))
+
     def test_load_rejects_malformed(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("not json{")
@@ -120,54 +130,3 @@ class TestRendering:
             render_reports([])
         with pytest.raises(ConfigError):
             render_reports([lp_report], fmt="html")
-
-
-class TestObsDerivationRows:
-    """``obs path`` / ``obs fallback`` manifest rows: absent on plain
-    machine-tier comparisons, present (with ``-`` padding) as soon as
-    any report carries a derivation path."""
-
-    def test_plain_reports_have_no_obs_rows(self, lp_report):
-        assert lp_report.obs_path is None
-        text = render_reports([lp_report])
-        assert "obs path" not in text
-        assert "obs fallback" not in text
-
-    def test_stream_report_shows_obs_path(self, lp_report):
-        stream = RunReport.from_dict(lp_report.to_dict())
-        stream.obs_path = "stream"
-        text = render_reports([stream])
-        assert "obs path" in text
-        assert "stream" in text
-        assert "obs fallback" not in text  # no fallback happened
-
-    def test_fallback_reason_surfaces_across_comparison(self, lp_report):
-        fell_back = RunReport.from_dict(lp_report.to_dict())
-        fell_back.variant = "ep"
-        fell_back.obs_path = "probe-bus"
-        fell_back.obs_fallback_reason = "trace capture unsupported"
-        text = render_reports([lp_report, fell_back])
-        assert "obs path" in text
-        assert "probe-bus" in text
-        assert "obs fallback" in text
-        assert "trace capture unsupported" in text
-
-    def test_obs_fields_round_trip(self, lp_report, tmp_path):
-        report = RunReport.from_dict(lp_report.to_dict())
-        report.obs_path = "stream"
-        report.obs_fallback_reason = None
-        path = tmp_path / "r.json"
-        report.save(str(path))
-        loaded = RunReport.load(str(path))
-        assert loaded.obs_path == "stream"
-        assert loaded.obs_fallback_reason is None
-
-    def test_old_reports_without_obs_fields_still_load(
-        self, lp_report, tmp_path
-    ):
-        data = lp_report.to_dict()
-        data.pop("obs_path")
-        data.pop("obs_fallback_reason")
-        loaded = RunReport.from_dict(data)
-        assert loaded.obs_path is None
-        assert loaded.obs_fallback_reason is None

@@ -80,8 +80,7 @@ class TestAttachDetach:
     def test_replay_machine_attachable_and_probed_run_records(self):
         # Probed replay machines take the general scheduling loop (the
         # _run_replay fast path checks for an active probe session), so
-        # the taps see every op — this run is the reconciliation
-        # reference for the stream-derived observers.
+        # the taps see every op.
         wl = get_workload("tmm")(**TINY_PARAMS)
         machine = Machine(tiny_machine(), _replay=True)
         bound = wl.bind(machine, num_threads=2, engine="modular")

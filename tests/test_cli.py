@@ -480,38 +480,6 @@ class TestLitmus:
         assert "still diverges" in capsys.readouterr().out
 
 
-class TestStreamTierCLI:
-    TINY = TestObservability.TINY
-
-    def test_tier_flag_defaults_to_machine(self):
-        assert build_parser().parse_args(["run", "tmm"]).tier == "machine"
-
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "tmm", "--tier", "gpu"])
-
-    def test_stream_tier_run_reports_path(self, capsys, tmp_path):
-        out = tmp_path / "lp-stream.report.json"
-        rc = main(["run", "tmm", *self.TINY, "--tier", "stream",
-                   "--obs-interval", "500", "--report-out", str(out)])
-        assert rc == 0
-        assert "[observability: stream path]" in capsys.readouterr().out
-        import json
-
-        doc = json.loads(out.read_text())
-        assert doc["intervals"]["interval"] == 500.0
-        assert doc["heatmap"]["regions"]
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_stream_tier_fallback_is_reported(self, capsys):
-        rc = main(["run", "tmm", *self.TINY, "--tier", "stream",
-                   "--obs-interval", "500", "--cleaner-period", "200"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "[stream tier fell back:" in out
-        assert "[observability: probe-bus path]" in out
-
-
 class TestDashboardCLI:
     TINY = TestObservability.TINY
 
