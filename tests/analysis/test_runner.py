@@ -7,20 +7,16 @@ import pytest
 
 from repro.analysis.experiments import ExperimentResult, run_variant
 from repro.analysis.runner import (
-    CacheStats,
     Job,
     ResultCache,
     code_version,
-    collect_telemetry,
     run_jobs,
     run_variant_cached,
     workload_from_spec,
     workload_spec,
 )
 from repro.errors import ConfigError
-from repro.obs import TelemetryJournal, journal_summary
-from repro.sim.config import CacheConfig, MachineConfig, tiny_machine
-from repro.workloads import get_workload
+from repro.sim.config import CacheConfig, MachineConfig
 from repro.workloads.tmm import TiledMatMul
 
 
@@ -40,13 +36,6 @@ def tmm(**kw):
 
 def jobs_for(variants=("base", "lp")):
     return [Job(tmm(), config(), v, num_threads=2) for v in variants]
-
-
-TINY = {"n": 8, "bsize": 4, "kk_tiles": 1}
-
-
-def _wl():
-    return get_workload("tmm")(**TINY)
 
 
 class TestCacheKey:
@@ -317,63 +306,6 @@ class TestResultCache:
                                 num_threads=2)
         assert r1 == r2
         assert cache.stats.hits == 1
-
-
-class TestTelemetry:
-    def _jobs(self):
-        return [
-            Job(_wl(), tiny_machine(), variant, num_threads=2)
-            for variant in ("lp", "ep")
-        ]
-
-    def test_run_jobs_records_spans(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        journal = TelemetryJournal()
-        run_jobs(self._jobs(), n_jobs=1, cache=cache, journal=journal)
-        telemetry = journal_summary(journal.events)["telemetry"]
-        assert [s["status"] for s in telemetry["spans"]] == ["run", "run"]
-        summary = telemetry["summary"]
-        assert (summary["jobs"], summary["hits"], summary["runs"]) == (2, 0, 2)
-        assert telemetry["wall_clock_s"] > 0
-        assert 0 < summary["utilization"] <= 1.0
-        labels = [s["label"] for s in telemetry["spans"]]
-        assert labels == ["tmm/lp", "tmm/ep"]
-        for span in telemetry["spans"]:
-            assert span["end_s"] >= span["start_s"] >= 0.0
-
-    def test_cache_hits_recorded_as_hit_spans(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        journal = TelemetryJournal()
-        run_jobs(self._jobs(), n_jobs=1, cache=cache)
-        run_jobs(self._jobs(), n_jobs=1, cache=cache, journal=journal)
-        telemetry = journal_summary(journal.events)["telemetry"]
-        assert [s["status"] for s in telemetry["spans"]] == ["hit", "hit"]
-        assert telemetry["cache"] is not None
-        assert telemetry["cache"]["hits"] == 2
-
-    def test_batches_accumulate_on_one_clock(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        with collect_telemetry() as journal:
-            for job in self._jobs():
-                run_jobs([job], n_jobs=1, cache=cache)
-        telemetry = journal_summary(journal.events)["telemetry"]
-        assert telemetry["summary"]["jobs"] == 2
-        starts = [s["start_s"] for s in telemetry["spans"]]
-        assert starts == sorted(starts)
-
-    def test_to_dict_round_trip_shape(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        with collect_telemetry() as journal:
-            run_jobs(self._jobs(), n_jobs=1, cache=cache)
-        doc = journal_summary(journal.events)["telemetry"]
-        assert doc["workers"] == 1
-        assert len(doc["spans"]) == 2
-        assert doc["summary"]["jobs"] == 2
-        assert doc["cache"]["misses"] == 2
-
-    def test_cache_stats_summary_format(self):
-        stats = CacheStats(hits=3, misses=4)
-        assert stats.summary() == "3/7 hits (42.9%)"
 
 
 class TestResultRoundtrip:

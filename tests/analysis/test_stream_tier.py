@@ -1,11 +1,14 @@
-"""The ``tier="stream"`` contract in run_variant and the runner.
+"""One execution path for ``run_variant`` and the runner.
 
-Requesting the op-stream tier must either take it — batch-deriving
-any requested observability (``obs_path == "stream"``) — or fall back
-to the machine path with the *reason* surfaced on the result and
-warned about.  Never a silent downgrade.  The runner side: ``Job``
-carries the tier into its cache key (stream results must not alias
-machine results), and ``run_jobs`` journals harness telemetry spans.
+There is no op-stream execution tier: every ``run_variant`` call and
+every ``Job`` runs on the machine, and any requested observability
+rides its probe bus.  These ids once covered the tier's contract and
+now pin what replaced it, point for point: the points the tier served
+get their observability from the probe bus, the points it refused
+(cleaner, drain, schedule jitter, custom observers) run without any
+warning, the ``tier`` keyword is rejected rather than ignored, and
+default cache keys are byte-identical to what they were while the tier
+existed.  The runner side also journals harness telemetry spans.
 """
 
 import dataclasses
@@ -13,11 +16,8 @@ import warnings
 
 import pytest
 
-from repro.analysis.experiments import (
-    ExperimentResult,
-    run_variant,
-    stream_fallback_reason,
-)
+import repro.analysis.runner as runner
+from repro.analysis.experiments import ExperimentResult, run_variant
 from repro.analysis.runner import (
     CacheStats,
     Job,
@@ -25,7 +25,6 @@ from repro.analysis.runner import (
     collect_telemetry,
     run_jobs,
 )
-from repro.errors import ConfigError
 from repro.obs import (
     IntervalSampler,
     StallFlame,
@@ -39,40 +38,50 @@ from repro.workloads import get_workload
 
 TINY = {"n": 8, "bsize": 4, "kk_tiles": 1}
 
-
 def _wl():
     return get_workload("tmm")(**TINY)
+
+
+def _result_fields():
+    """``ExperimentResult.to_dict()``'s keys: its fields, no more (the
+    heatmap, flame and derivation-path keys went with the tier)."""
+    return {f.name for f in dataclasses.fields(ExperimentResult)}
+
+
+def _sampled_ops(intervals):
+    return sum(
+        sum(values)
+        for column, values in intervals["columns"].items()
+        if column.startswith("ops.core")
+    )
 
 
 class TestStreamTier:
     def test_stream_tier_derives_observability(self):
         result = run_variant(
-            _wl(), tiny_machine(), "lp", num_threads=2,
-            obs_interval=500.0, tier="stream",
+            _wl(), tiny_machine(), "lp", num_threads=2, obs_interval=500.0,
         )
-        assert result.obs_path == "stream"
-        assert result.obs_fallback_reason is None
-        assert result.intervals is not None
-        assert result.heatmap is not None
-        assert result.flame is not None
-        # Replay-tier functional metrics: no caches, no NVMM traffic.
-        assert result.nvmm_writes == 0
+        assert result.intervals["interval"] == 500.0
+        assert _sampled_ops(result.intervals) == result.ops_executed
+        # Machine-path metrics: the cache hierarchy and NVMM are live.
+        assert result.nvmm_reads > 0
+        assert result.l2_miss_rate > 0
         assert result.verified
 
     def test_stream_tier_plain_run_reports_no_obs_path(self):
-        result = run_variant(
-            _wl(), tiny_machine(), "lp", num_threads=2, tier="stream"
-        )
-        assert result.obs_path is None
+        result = run_variant(_wl(), tiny_machine(), "lp", num_threads=2)
         assert result.intervals is None
+        assert set(result.to_dict()) == _result_fields()
 
     def test_machine_tier_reports_probe_bus_path(self):
-        result = run_variant(
-            _wl(), tiny_machine(), "lp", num_threads=2,
-            obs_interval=500.0,
+        # Sampling on the probe bus observes the run without changing
+        # it: every metric matches the unsampled run.
+        plain = run_variant(_wl(), tiny_machine(), "lp", num_threads=2)
+        sampled = run_variant(
+            _wl(), tiny_machine(), "lp", num_threads=2, obs_interval=500.0,
         )
-        assert result.obs_path == "probe-bus"
-        assert result.obs_fallback_reason is None
+        assert sampled.intervals is not None
+        assert dataclasses.replace(sampled, intervals=None) == plain
 
     def test_stream_tier_transplants_observers(self):
         recorder = TraceRecorder()
@@ -82,9 +91,7 @@ class TestStreamTier:
         result = run_variant(
             _wl(), tiny_machine(), "lp", num_threads=2,
             observers=[recorder, sampler, heatmap, flame],
-            tier="stream",
         )
-        assert result.obs_path == "stream"
         assert 0 < len(recorder.ops) <= result.ops_executed
         totals = sampler.totals()
         assert sum(
@@ -94,49 +101,66 @@ class TestStreamTier:
         assert flame.to_dict() is not None
 
     def test_invalid_tier_rejected(self):
-        with pytest.raises(ConfigError):
-            run_variant(
-                _wl(), tiny_machine(), "lp", num_threads=2, tier="gpu"
-            )
+        for tier in ("stream", "machine"):
+            with pytest.raises(TypeError):
+                run_variant(
+                    _wl(), tiny_machine(), "lp", num_threads=2, tier=tier
+                )
 
 
 class TestStreamFallback:
-    def _expect_fallback(self, match, **kwargs):
-        with pytest.warns(RuntimeWarning, match="stream tier unavailable"):
+    """Points the stream tier could not take now run on the one path:
+    observed, verified, and without a warning."""
+
+    def _run_without_warnings(self, config=None, **kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = run_variant(
-                _wl(), kwargs.pop("config", tiny_machine()), "lp",
-                num_threads=2, obs_interval=500.0, tier="stream",
-                **kwargs,
+                _wl(), config or tiny_machine(), "lp", num_threads=2,
+                obs_interval=500.0, **kwargs,
             )
-        assert result.obs_path == "probe-bus"
-        assert result.obs_fallback_reason is not None
-        assert match in result.obs_fallback_reason
+        assert result.intervals is not None
+        assert result.verified
         return result
 
     def test_cleaner_falls_back_with_reason(self):
-        self._expect_fallback("cleaner", cleaner_period=200.0)
+        result = self._run_without_warnings(cleaner_period=200.0)
+        assert result.cleaner_writes > 0
 
     def test_drain_falls_back_with_reason(self):
-        self._expect_fallback("drain", drain=True)
+        result = self._run_without_warnings(drain=True)
+        assert result.drain_writes > 0
 
     def test_schedule_jitter_falls_back_with_reason(self):
         config = dataclasses.replace(tiny_machine(), schedule_jitter=2.0)
-        self._expect_fallback("jitter", config=config)
+        jittered = self._run_without_warnings(config=config)
+        steady = self._run_without_warnings()
+        assert jittered.exec_cycles != steady.exec_cycles
 
     def test_underivable_observer_falls_back_with_reason(self):
+        # An observer type repro.obs knows nothing about: the probe
+        # bus feeds it every op like any built-in observer.
         class Exotic:
-            def on_event(self, event):
-                pass
+            def __init__(self):
+                self.ops = 0
 
-        with pytest.warns(RuntimeWarning, match="stream tier unavailable"):
+            def on_op(self, event):
+                self.ops += 1
+
+        exotic = Exotic()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = run_variant(
                 _wl(), tiny_machine(), "lp", num_threads=2,
-                observers=[Exotic()], tier="stream",
+                observers=[exotic],
             )
-        assert "Exotic" in (result.obs_fallback_reason or "")
+        assert exotic.ops == result.ops_executed > 0
 
     def test_fallback_reason_is_none_for_clean_points(self):
-        assert stream_fallback_reason(_wl(), tiny_machine()) is None
+        result = self._run_without_warnings()
+        doc = result.to_dict()
+        assert set(doc) == _result_fields()
+        assert doc["intervals"] is not None
 
     def test_machine_tier_never_warns(self):
         with warnings.catch_warnings():
@@ -148,31 +172,31 @@ class TestStreamFallback:
 
 
 class TestJobTier:
-    def test_tier_distinguishes_cache_keys(self):
-        machine_job = Job(_wl(), tiny_machine(), "lp", num_threads=2)
-        stream_job = Job(
-            _wl(), tiny_machine(), "lp", num_threads=2, tier="stream"
+    def test_default_tier_leaves_key_unchanged(self, monkeypatch):
+        # Key-stability contract: with the source digest held fixed, a
+        # default job keys exactly as it did while Job carried a tier
+        # field, so cached machine results survived its removal.  A
+        # deliberate re-key (a CACHE_FORMAT_VERSION bump, a new config
+        # field) updates these literals.
+        monkeypatch.setattr(runner, "code_version", lambda: "0" * 64)
+        plain = Job(_wl(), tiny_machine(), "lp", num_threads=2)
+        sampled = Job(
+            _wl(), tiny_machine(), "lp", num_threads=2, obs_interval=500.0
         )
-        assert machine_job.cache_key() != stream_job.cache_key()
-
-    def test_default_tier_leaves_key_unchanged(self):
-        # Key-stability contract: optional payload fields appear only
-        # when non-default, so pre-existing cached machine results
-        # survive the tier field's introduction.
-        job = Job(_wl(), tiny_machine(), "lp", num_threads=2)
-        explicit = Job(
-            _wl(), tiny_machine(), "lp", num_threads=2, tier="machine"
+        assert plain.cache_key() == (
+            "95fe36051e78f06baaa1f90306a4c0060a2968ef07eb82928e246eede9e8f55b"
         )
-        assert job.cache_key() == explicit.cache_key()
+        assert sampled.cache_key() == (
+            "b25ef188273b977be3001e7e9e52fdb61b398faa4cbc9ce7ec2ef54eaa47b0ae"
+        )
 
     def test_stream_job_runs_through_the_engine(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         job = Job(
-            _wl(), tiny_machine(), "lp", num_threads=2,
-            obs_interval=500.0, tier="stream",
+            _wl(), tiny_machine(), "lp", num_threads=2, obs_interval=500.0,
         )
         (first,) = run_jobs([job], n_jobs=1, cache=cache)
-        assert first.obs_path == "stream"
+        assert first.intervals is not None
         (second,) = run_jobs([job], n_jobs=1, cache=cache)
         assert cache.stats.hits == 1
         assert isinstance(second, ExperimentResult)

@@ -9,7 +9,7 @@ from repro.errors import ConfigError
 from repro.obs import CoverageStats, RunReport, render_dashboard
 from repro.sim.config import tiny_machine
 
-from tests.analysis.test_runner import _wl
+from tests.analysis.test_stream_tier import _wl
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 

@@ -1,5 +1,6 @@
 """RunReport manifests: building, round-tripping, rendering."""
 
+import dataclasses
 import json
 
 import pytest
@@ -130,3 +131,56 @@ class TestRendering:
             render_reports([])
         with pytest.raises(ConfigError):
             render_reports([lp_report], fmt="html")
+
+
+class TestObsDerivationRows:
+    """A report carries no derivation path, so the manifest table has
+    no ``obs path``/``obs fallback`` rows, sampled or not, alone or in
+    a comparison.  These ids once covered those rows."""
+
+    @pytest.fixture(scope="class")
+    def sampled_report(self):
+        config = tiny_machine()
+        result = run_variant(
+            get_workload("tmm")(**TINY_PARAMS),
+            config,
+            "lp",
+            num_threads=2,
+            obs_interval=500.0,
+        )
+        return RunReport.from_result(
+            result, config, wall_clock_s=1.25,
+            workload_params=dict(TINY_PARAMS),
+        )
+
+    def test_plain_reports_have_no_obs_rows(self, lp_report):
+        text = render_reports([lp_report])
+        assert "obs path" not in text
+        assert "obs fallback" not in text
+
+    def test_stream_report_shows_obs_path(self, lp_report, sampled_report):
+        # Sampling adds a series to the report, not a manifest row: the
+        # sampled run renders exactly the plain run's table.
+        assert sampled_report.intervals is not None
+        assert render_reports([sampled_report]) == render_reports(
+            [lp_report]
+        )
+
+    def test_fallback_reason_surfaces_across_comparison(
+        self, lp_report, sampled_report
+    ):
+        ep = RunReport.from_dict(lp_report.to_dict())
+        ep.variant = "ep"
+        text = render_reports([lp_report, sampled_report, ep])
+        assert "tmm/ep" in text
+        assert "obs path" not in text
+        assert "obs fallback" not in text
+
+    def test_obs_fields_round_trip(self, sampled_report, tmp_path):
+        path = tmp_path / "r.json"
+        sampled_report.save(str(path))
+        doc = json.loads(path.read_text())
+        assert set(doc) == {f.name for f in dataclasses.fields(RunReport)}
+        loaded = RunReport.load(str(path))
+        assert loaded == sampled_report
+        assert loaded.intervals == sampled_report.intervals

@@ -1,17 +1,21 @@
-"""Exact reconciliation: stream-derived observers vs the probe bus.
+"""Exact reconciliation: a recorded op stream replayed on the probe bus.
 
-:mod:`repro.obs.streamobs` derives each observer's end state from an
-op stream's numpy arrays in batch.  The contract is *bit*
-reconciliation: for every registry workload x variant, under both
-timing-model configs, the derived instance must be indistinguishable
-from the same observer attached to a probed replay machine running the
-identical point through the general scheduling loop — same
-``series()``, same ``to_dict()``, same internal stacks, same
-Chrome-trace document.  No sampling slop, no "close enough".
+A recorded stream (:func:`repro.sim.opstream.record_stream`) is a
+faithful transcript only if feeding its decoded per-core ops back to
+:meth:`Machine.run <repro.sim.machine.Machine.run>` reproduces the run
+down to what observers see, not just its final state.  The contract is
+*bit* reconciliation: for every registry workload x variant, under
+both timing-model configs, observers attached to a probed replay of
+the decoded stream must be indistinguishable from the same observers
+attached to a probed replay machine driving the workload's coroutines
+through the general scheduling loop — same ``series()``, same
+``to_dict()``, same internal stacks, same Chrome-trace document.  No
+sampling slop, no "close enough".
 
 A Hypothesis property extends the pin beyond the registry: for
-arbitrary op soups, the derived interval-series totals must equal the
-:class:`MachineStats` per-core counters the simulator kept itself.
+arbitrary op soups, the interval-series totals sampled from the
+replayed stream must equal the :class:`MachineStats` per-core counters
+the recording run kept itself.
 """
 
 import pytest
@@ -22,10 +26,6 @@ from repro.obs import (
     StallFlame,
     TraceRecorder,
     WriteHeatmap,
-    derive_flame,
-    derive_heatmap,
-    derive_recorder,
-    derive_sampler,
     probed,
     to_chrome_trace,
 )
@@ -34,6 +34,8 @@ from repro.sim.isa import Compute, Fence, Flush, FlushWB, Load, Store
 from repro.sim.machine import Machine
 from repro.sim.opstream import record_stream
 from repro.workloads import available_workloads, get_workload
+
+from tests.verify.test_stream_equivalence import replay_threads
 
 #: Crashcheck-sized problems: small enough that the full grid of
 #: (workload, variant, timing) cases stays fast.
@@ -50,9 +52,8 @@ SMALL_PARAMS = {
 INTERVAL = 500.0
 
 #: Both timing-model *configs*: replay machines force functional
-#: timing either way, but the derivation must reconcile regardless of
-#: what the config asked for — the tier decision must not leak into
-#: the derived numbers.
+#: timing either way, but the replayed stream must reconcile regardless
+#: of what the config asked for.
 CASES = [
     (name, variant, timing)
     for name in available_workloads()
@@ -69,41 +70,39 @@ def _bound_replay(name, variant, timing):
     wl = get_workload(name)(**SMALL_PARAMS.get(name, {}))
     bound = wl.bind(machine, num_threads=2, engine="modular")
     # Provenance on: Phase frames must survive the stream round trip
-    # into the derived flame and recorder, not just the counters.
+    # into the replayed flame and recorder, not just the counters.
     bound.provenance = True
     return machine, bound
 
 
+def _observe(machine, threads, root):
+    observers = {
+        "sampler": IntervalSampler(INTERVAL),
+        "heatmap": WriteHeatmap(),
+        "flame": StallFlame(root=root),
+        "recorder": TraceRecorder(),
+    }
+    with probed(machine, list(observers.values())):
+        machine.run(threads)
+    return observers
+
+
 @pytest.fixture(scope="module")
 def reconciled_runs():
-    """For every case: the probed-replay reference observers plus the
-    stream-derived ones, built from the same point."""
+    """For every case: the observers of the probed generator-driven
+    run plus those of a probed replay of the recorded stream, both
+    built from the same point."""
     runs = {}
     for name, variant, timing in CASES:
+        root = f"{name}/{variant}"
         machine, bound = _bound_replay(name, variant, timing)
-        recorder = TraceRecorder()
-        sampler = IntervalSampler(INTERVAL)
-        heatmap = WriteHeatmap()
-        flame = StallFlame(root=f"{name}/{variant}")
-        with probed(machine, [recorder, sampler, heatmap, flame]):
-            machine.run(bound.threads(variant))
+        reference = _observe(machine, bound.threads(variant), root)
 
         m_rec, b_rec = _bound_replay(name, variant, timing)
         stream, _ = record_stream(m_rec, b_rec.threads(variant))
-        m_fresh, _ = _bound_replay(name, variant, timing)
-        derived = {
-            "sampler": derive_sampler(stream, INTERVAL),
-            "heatmap": derive_heatmap(stream, m_rec),
-            "flame": derive_flame(stream, root=f"{name}/{variant}"),
-            "recorder": derive_recorder(stream, m_fresh),
-        }
-        reference = {
-            "sampler": sampler,
-            "heatmap": heatmap,
-            "flame": flame,
-            "recorder": recorder,
-        }
-        runs[(name, variant, timing)] = (reference, derived)
+        m_replay, _ = _bound_replay(name, variant, timing)
+        replayed = _observe(m_replay, replay_threads(stream), root)
+        runs[(name, variant, timing)] = (reference, replayed)
     return runs
 
 
@@ -112,47 +111,47 @@ class TestStreamReconciliation:
     def test_sampler_series_identical(
         self, reconciled_runs, name, variant, timing
     ):
-        ref, derived = reconciled_runs[(name, variant, timing)]
-        assert derived["sampler"].series() == ref["sampler"].series()
-        assert derived["sampler"].totals() == ref["sampler"].totals()
-        assert derived["sampler"].csv() == ref["sampler"].csv()
+        ref, replayed = reconciled_runs[(name, variant, timing)]
+        assert replayed["sampler"].series() == ref["sampler"].series()
+        assert replayed["sampler"].totals() == ref["sampler"].totals()
+        assert replayed["sampler"].csv() == ref["sampler"].csv()
 
     def test_heatmap_identical(
         self, reconciled_runs, name, variant, timing
     ):
-        ref, derived = reconciled_runs[(name, variant, timing)]
-        assert derived["heatmap"].to_dict() == ref["heatmap"].to_dict()
+        ref, replayed = reconciled_runs[(name, variant, timing)]
+        assert replayed["heatmap"].to_dict() == ref["heatmap"].to_dict()
         assert (
-            derived["heatmap"].region_summary()
+            replayed["heatmap"].region_summary()
             == ref["heatmap"].region_summary()
         )
-        assert derived["heatmap"].csv() == ref["heatmap"].csv()
+        assert replayed["heatmap"].csv() == ref["heatmap"].csv()
 
     def test_flame_identical(
         self, reconciled_runs, name, variant, timing
     ):
-        ref, derived = reconciled_runs[(name, variant, timing)]
-        assert derived["flame"].to_dict() == ref["flame"].to_dict()
-        assert derived["flame"].collapsed() == ref["flame"].collapsed()
-        # Internal provenance stacks too — the derivation replays
-        # Phase push/pop, it doesn't just fake the public totals.
-        assert derived["flame"]._stacks == ref["flame"]._stacks
+        ref, replayed = reconciled_runs[(name, variant, timing)]
+        assert replayed["flame"].to_dict() == ref["flame"].to_dict()
+        assert replayed["flame"].collapsed() == ref["flame"].collapsed()
+        # Internal provenance stacks too — the stream carries the
+        # Phase push/pop ops, not just their effect on the totals.
+        assert replayed["flame"]._stacks == ref["flame"]._stacks
 
     def test_recorder_and_chrome_trace_identical(
         self, reconciled_runs, name, variant, timing
     ):
-        ref, derived = reconciled_runs[(name, variant, timing)]
-        assert derived["recorder"].ops == ref["recorder"].ops
-        assert to_chrome_trace(derived["recorder"]) == to_chrome_trace(
+        ref, replayed = reconciled_runs[(name, variant, timing)]
+        assert replayed["recorder"].ops == ref["recorder"].ops
+        assert to_chrome_trace(replayed["recorder"]) == to_chrome_trace(
             ref["recorder"]
         )
 
     def test_replay_reference_is_eventless_beyond_ops(
         self, reconciled_runs, name, variant, timing
     ):
-        # The completeness half of the contract: the probed replay run
-        # publishes nothing but op retirements, so deriving only op
-        # state loses no events.
+        # The probed replay run publishes nothing but op retirements,
+        # so the ops a stream records are everything its observers
+        # can see.
         ref, _ = reconciled_runs[(name, variant, timing)]
         assert ref["recorder"].stalls == []
         assert ref["recorder"].hazards == []
@@ -161,7 +160,7 @@ class TestStreamReconciliation:
 
 
 # ----------------------------------------------------------------------
-# property pin (Hypothesis): derived totals == MachineStats counters
+# property pin (Hypothesis): replayed totals == MachineStats counters
 # ----------------------------------------------------------------------
 
 NUM_ELEMS = 16
@@ -202,16 +201,25 @@ def _script_ops(region, script):
 @given(scripts)
 @settings(max_examples=40, deadline=None)
 def test_derived_interval_totals_equal_machine_counters(script_set):
-    """For arbitrary op soups, summing the derived interval series
-    must reproduce the per-core counters in :class:`MachineStats`."""
-    machine = Machine(
-        MachineConfig(num_cores=len(script_set)), _replay=True
-    )
-    region = machine.alloc("a", NUM_ELEMS)
+    """For arbitrary op soups, summing the interval series sampled
+    from a replay of the recorded stream must reproduce the per-core
+    counters the recording run kept in :class:`MachineStats`."""
+
+    def fresh():
+        machine = Machine(
+            MachineConfig(num_cores=len(script_set)), _replay=True
+        )
+        return machine, machine.alloc("a", NUM_ELEMS)
+
+    machine, region = fresh()
     stream, result = record_stream(
         machine, [_script_ops(region, s) for s in script_set]
     )
-    totals = derive_sampler(stream, 100.0).totals()
+    replay, _ = fresh()
+    sampler = IntervalSampler(100.0)
+    with probed(replay, [sampler]):
+        replay.run(replay_threads(stream))
+    totals = sampler.totals()
 
     stats = result.stats
     assert totals.get("fences", 0) == sum(

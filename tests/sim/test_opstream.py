@@ -1,16 +1,14 @@
-"""Op-stream recording pins: the recording seam, encode/decode
-round-trips and the stream cache.
+"""Op-stream recording pins: encode/decode round-trips, the recording
+guards and the stream cache.
 
-A recorded stream (:mod:`repro.sim.opstream`) is only a faithful
-transcript if recording is an unmodified replay run: ``record_stream``
-must leave its machine and :class:`RunResult` exactly as a plain
-``Machine(_replay=True).run`` of the same point would.  Encoding must
-be lossless: ``decode(encode(ops))`` reproduces the recorded
-``(core_id, op)`` sequence exactly, for every registry workload x
-variant x seed and for arbitrary op soups (hypothesis-driven below).
-The on-disk ``.npz`` form and the content-addressed stream cache get
-the same treatment: corrupt, damaged or version-mismatched blobs must
-read as misses, never as wrong streams or as errors.
+Encoding must be lossless: ``decode(encode(ops))`` reproduces the
+recorded ``(core_id, op)`` sequence exactly, for every registry
+workload x variant x seed.  The on-disk ``.npz`` form and the
+content-addressed stream cache get the same treatment: corrupt,
+damaged or version-mismatched blobs must read as misses, never as
+wrong streams or as errors.  That recording is an unmodified replay
+run, and that a recorded stream replays exactly, is pinned in
+``tests/verify/test_stream_equivalence.py``.
 """
 
 import numpy as np
@@ -21,18 +19,7 @@ from repro.analysis.runner import ResultCache, cached_op_stream
 from repro.errors import ConfigError
 from repro.sim.cleaner import PeriodicCleaner
 from repro.sim.config import MachineConfig
-from repro.sim.isa import (
-    Compute,
-    Fence,
-    Flush,
-    FlushWB,
-    Load,
-    Phase,
-    RegionMark,
-    Store,
-)
 from repro.sim.machine import Machine
-from repro.sim.model import enumerable_model_names
 from repro.sim.opstream import (
     STREAM_FORMAT_VERSION,
     encode_ops,
@@ -41,6 +28,8 @@ from repro.sim.opstream import (
     save_stream,
 )
 from repro.workloads.registry import get_workload
+
+from tests.verify.test_stream_equivalence import replay_threads
 
 #: Tiny but structurally complete sizes: every variant still runs its
 #: full code path (regions, checksums, recovery metadata, barriers).
@@ -203,10 +192,22 @@ def test_record_refuses_triggered_machine(hook):
     assert machine.stats.per_core[0].ops == 0  # refused before running
 
 
-#: Ways a cached blob can be damaged on disk, each applied to the
-#: blob's bytes.  Every one must read as a corrupt miss.
+def test_execute_refuses_too_few_cores():
+    # A recorded stream replays one core per recorded thread; a
+    # machine with fewer cores refuses its decoded ops up front.
+    workload = make_workload("tmm", 0)
+    machine = replay_machine(2)
+    bound = workload.bind(machine, num_threads=2)
+    stream, _ = record_stream(machine, bound.threads("base"))
+    small = Machine(MachineConfig(num_cores=1), _replay=True)
+    with pytest.raises(ConfigError):
+        small.run(replay_threads(stream))
+
+
+#: Ways a cached blob can be damaged on disk beyond not being an
+#: archive at all, each applied to the blob's bytes.  Every one must
+#: read as a corrupt miss.
 DAMAGE = {
-    "not_an_npz": lambda data: b"not an npz",
     "cut_to_10_bytes": lambda data: data[:10],
     "cut_to_half": lambda data: data[: len(data) // 2],
     "all_but_5_bytes": lambda data: data[:-5],
@@ -214,8 +215,7 @@ DAMAGE = {
 }
 
 
-@pytest.mark.parametrize("damage", list(DAMAGE))
-def test_cached_op_stream_hits_and_survives_corruption(tmp_path, damage):
+def _check_damaged_blob_is_replaced(tmp_path, damage):
     workload = make_workload("tmm", 1)
     config = MachineConfig(num_cores=3)
     cache = ResultCache(str(tmp_path))
@@ -237,7 +237,7 @@ def test_cached_op_stream_hits_and_survives_corruption(tmp_path, damage):
     with open(path, "rb") as fh:
         data = fh.read()
     with open(path, "wb") as fh:
-        fh.write(DAMAGE[damage](data))
+        fh.write(damage(data))
     with pytest.raises(ValueError):
         load_stream(path)
     refreshed = cached_op_stream(workload, config, "lp", num_threads=2,
@@ -248,6 +248,15 @@ def test_cached_op_stream_hits_and_survives_corruption(tmp_path, damage):
     # ... so the point is served from the cache again, not re-damaged.
     cached_op_stream(workload, config, "lp", num_threads=2, cache=cache)
     assert cache.stats.hits == 2
+
+
+def test_cached_op_stream_hits_and_survives_corruption(tmp_path):
+    _check_damaged_blob_is_replaced(tmp_path, lambda data: b"not an npz")
+
+
+@pytest.mark.parametrize("damage", list(DAMAGE))
+def test_cached_op_stream_survives_damaged_archive(tmp_path, damage):
+    _check_damaged_blob_is_replaced(tmp_path, DAMAGE[damage])
 
 
 def test_cached_op_stream_refuses_stream_unsafe_workloads(tmp_path):
@@ -288,117 +297,3 @@ def test_region_workloads_bypass_the_stream_cache(tmp_path, name, params):
 
     result = run_variant(workload, tiny_machine(), "lp", num_threads=2)
     assert result.verified
-
-
-# ----------------------------------------------------------------------
-# the recording seam: record_stream is an unmodified replay run
-# ----------------------------------------------------------------------
-
-SEAM_THREADS = 4
-SEAM_CONFIG = MachineConfig(num_cores=SEAM_THREADS + 1)
-
-RESULT_FIELDS = (
-    "crashed",
-    "ops_executed",
-    "region_marks",
-    "finished_threads",
-    "total_threads",
-    "flush_ops",
-)
-
-#: Every workload x base/lp/ep, tmm's WAL variant, and lp/ep under
-#: every other enumerable persistency model.
-SEAM_POINTS = (
-    [
-        (name, variant, "adr")
-        for name in sorted(TINY_SPECS)
-        for variant in ("base", "lp", "ep")
-    ]
-    + [("tmm", "wal", "adr")]
-    + [
-        ("tmm", variant, model)
-        for model in enumerable_model_names()
-        if model != "adr"
-        for variant in ("lp", "ep")
-    ]
-)
-
-
-def seam_point(name, variant, model):
-    machine = Machine(SEAM_CONFIG.with_model(model), _replay=True)
-    bound = make_workload(name, 0).bind(machine, num_threads=SEAM_THREADS)
-    return machine, bound.threads(variant)
-
-
-@pytest.mark.parametrize("name,variant,model", SEAM_POINTS)
-def test_recording_is_an_unmodified_replay_run(name, variant, model):
-    m_rec, threads = seam_point(name, variant, model)
-    stream, r_rec = record_stream(m_rec, threads)
-    m_run, threads = seam_point(name, variant, model)
-    r_run = m_run.run(threads)
-
-    assert m_rec.mem.arch == m_run.mem.arch
-    assert m_rec.mem.persistent == m_run.mem.persistent
-    assert r_rec.stats.summary() == r_run.stats.summary()
-    for cid in range(SEAM_CONFIG.num_cores):
-        assert vars(r_rec.stats.per_core[cid]) == vars(
-            r_run.stats.per_core[cid]
-        ), f"core {cid} stats"
-        assert m_rec.cores[cid].clock == m_run.cores[cid].clock, (
-            f"core {cid} clock"
-        )
-    for field in RESULT_FIELDS:
-        assert getattr(r_rec, field) == getattr(r_run, field), field
-    assert len(stream) == r_run.ops_executed
-
-
-# ----------------------------------------------------------------------
-# property pin (Hypothesis): arbitrary op soups
-# ----------------------------------------------------------------------
-
-NUM_ELEMS = 16
-
-op_strategy = st.tuples(
-    st.sampled_from(["load", "store", "compute", "flush", "flushwb",
-                     "fence", "mark", "phase"]),
-    st.integers(min_value=0, max_value=NUM_ELEMS - 1),
-    st.integers(min_value=1, max_value=100),
-)
-scripts = st.lists(
-    st.lists(op_strategy, min_size=1, max_size=20),
-    min_size=1,
-    max_size=3,
-)
-
-
-def _script_ops(script):
-    for kind, idx, value in script:
-        addr = 1024 + idx * 8
-        if kind == "load":
-            yield Load(addr)
-        elif kind == "store":
-            yield Store(addr, float(value))
-        elif kind == "compute":
-            yield Compute(value, "work")
-        elif kind == "flush":
-            yield Flush(addr)
-        elif kind == "flushwb":
-            yield FlushWB(addr)
-        elif kind == "fence":
-            yield Fence()
-        elif kind == "mark":
-            yield RegionMark(f"m{value % 3}")
-        else:
-            yield Phase(f"p{value % 3}" if value % 2 else None)
-
-
-@given(scripts)
-@settings(max_examples=40, deadline=None)
-def test_decode_is_the_exact_inverse_of_encode(script_set):
-    """decode(encode(records)) == records for arbitrary op soups."""
-    records = []
-    for cid, script in enumerate(script_set):
-        for op in _script_ops(script):
-            records.append((cid, op))
-    stream = encode_ops(records, num_threads=len(script_set))
-    assert stream.decode() == records

@@ -480,6 +480,52 @@ class TestLitmus:
         assert "still diverges" in capsys.readouterr().out
 
 
+class TestStreamTierCLI:
+    """``repro run`` has one execution path.  These ids once covered
+    its tier flag; they now pin that the flag is gone and that a run,
+    observed or not, prints no tier or derivation lines."""
+
+    TINY = TestObservability.TINY
+
+    def test_tier_flag_defaults_to_machine(self):
+        args = build_parser().parse_args(["run", "tmm"])
+        assert not hasattr(args, "tier")
+
+    def test_unknown_tier_rejected(self):
+        for tier in ("gpu", "stream", "machine"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["run", "tmm", "--tier", tier])
+
+    def test_stream_tier_run_reports_path(self, capsys, tmp_path):
+        out = tmp_path / "lp.report.json"
+        rc = main(["run", "tmm", *self.TINY,
+                   "--obs-interval", "500", "--report-out", str(out)])
+        assert rc == 0
+        assert "[observability:" not in capsys.readouterr().out
+        import json
+
+        doc = json.loads(out.read_text())
+        assert doc["intervals"]["interval"] == 500.0
+        assert "heatmap" not in doc
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_stream_tier_fallback_is_reported(self, capsys):
+        # A cleaner point once forced a fallback; now it is an ordinary
+        # observed run with nothing to report or warn about.
+        rc = main(["run", "tmm", *self.TINY,
+                   "--obs-interval", "500", "--cleaner-period", "200"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "fell back" not in out
+        assert "[observability:" not in out
+        # ... and the cleaner ran: lp alone writes nothing back here.
+        (writes,) = [
+            line.split()[1] for line in out.splitlines()
+            if line.startswith("nvmm_writes ")
+        ]
+        assert int(writes) > 0
+
+
 class TestDashboardCLI:
     TINY = TestObservability.TINY
 

@@ -1,11 +1,17 @@
-"""Bit-identical pins for the op-stream interpreter.
+"""Bit-identical pins for recorded op streams.
 
-The third execution tier (:meth:`Machine.run_stream
-<repro.sim.machine.Machine.run_stream>` over a recorded
-:mod:`repro.sim.opstream` stream) must be indistinguishable from
-driving the original coroutines through the generator replay loop —
-which is itself pinned against the general heap scheduler by
-``test_timing_equivalence.py``.  For every registry workload x
+A recorded stream (:mod:`repro.sim.opstream`) is a faithful transcript
+of a replay run only if
+
+* recording is itself an unmodified replay run: ``record_stream``
+  leaves its machine and :class:`RunResult` exactly as a plain
+  ``Machine(_replay=True).run`` of the same point does, and
+* feeding the decoded per-core ops back to :meth:`Machine.run
+  <repro.sim.machine.Machine.run>` on a freshly bound machine lands
+  exactly where driving the original coroutines does.
+
+The generator replay loop is itself pinned against the general heap
+scheduler by ``test_timing_equivalence.py``.  For every workload x
 base/lp/ep this compares, exactly:
 
 * final architectural and persistent memory maps,
@@ -14,15 +20,11 @@ base/lp/ep this compares, exactly:
   zero on both replay paths),
 * every :class:`RunResult` field.
 
-Also pinned: the recording run itself is an unmodified replay run, and
-re-executing a stream (memoized plan/init) changes nothing.
-
 The persistency-model axis rides the same harness: every enumerable
-model (:mod:`repro.sim.model`) must keep the three tiers bit-identical
+model (:mod:`repro.sim.model`) must keep the three runs bit-identical
 — eADR-class models persist at store time through the one
-``MemoryState.store`` entry point, which the op-stream interpreter's
-vectorised final-image pass must reproduce exactly.  A Hypothesis
-property extends the pin to arbitrary op soups and to the
+``MemoryState.store`` entry point, which every replayed store reaches.
+A Hypothesis property extends the pin to arbitrary op soups and to the
 ``decode(encode())`` round-trip.
 """
 
@@ -57,6 +59,20 @@ RESULT_FIELDS = (
 )
 
 
+def _ops(ops):
+    for op in ops:
+        yield op
+
+
+def replay_threads(stream):
+    """A recorded stream's decoded ops as one generator per core, in
+    each core's program order — what :meth:`Machine.run` consumes."""
+    per_core = [[] for _ in range(stream.num_threads)]
+    for cid, op in stream.decode():
+        per_core[cid].append(op)
+    return [_ops(ops) for ops in per_core]
+
+
 def bound_point(name, model="adr"):
     machine = Machine(CONFIG.with_model(model), _replay=True)
     bound = get_workload(name)(**SPECS[name]).bind(
@@ -85,13 +101,14 @@ def assert_machines_identical(m_stream, m_gen, r_stream, r_gen):
 def test_stream_matches_generator_replay(name, variant):
     m_rec, b_rec = bound_point(name)
     stream, r_rec = record_stream(m_rec, b_rec.threads(variant))
+    assert len(stream) == r_rec.ops_executed
 
     m_gen, b_gen = bound_point(name)
     r_gen = m_gen.run(b_gen.threads(variant))
     assert b_gen.verify()
 
     m_stream, b_stream = bound_point(name)
-    r_stream = m_stream.run_stream(stream)
+    r_stream = m_stream.run(replay_threads(stream))
     assert b_stream.verify()
 
     assert_machines_identical(m_stream, m_gen, r_stream, r_gen)
@@ -100,14 +117,14 @@ def test_stream_matches_generator_replay(name, variant):
 
 
 def test_reexecution_is_stable():
-    """A stream's memoized plan/init must not leak state between runs."""
+    """Decoding shares no state between replays of one stream."""
     m_rec, b_rec = bound_point("tmm")
     stream, _ = record_stream(m_rec, b_rec.threads("lp"))
 
     m1, _ = bound_point("tmm")
-    r1 = m1.run_stream(stream)
+    r1 = m1.run(replay_threads(stream))
     m2, _ = bound_point("tmm")
-    r2 = m2.run_stream(stream)
+    r2 = m2.run(replay_threads(stream))
 
     assert_machines_identical(m2, m1, r2, r1)
 
@@ -115,12 +132,13 @@ def test_reexecution_is_stable():
 def test_wal_variant_streams_exactly():
     """tmm's WAL variant (undo logging, extra flush traffic) too."""
     m_rec, b_rec = bound_point("tmm")
-    stream, _ = record_stream(m_rec, b_rec.threads("wal"))
+    stream, r_rec = record_stream(m_rec, b_rec.threads("wal"))
     m_gen, b_gen = bound_point("tmm")
     r_gen = m_gen.run(b_gen.threads("wal"))
     m_stream, _ = bound_point("tmm")
-    r_stream = m_stream.run_stream(stream)
+    r_stream = m_stream.run(replay_threads(stream))
     assert_machines_identical(m_stream, m_gen, r_stream, r_gen)
+    assert_machines_identical(m_rec, m_gen, r_rec, r_gen)
 
 
 # ----------------------------------------------------------------------
@@ -131,10 +149,9 @@ def test_wal_variant_streams_exactly():
 @pytest.mark.parametrize("model", [m for m in enumerable_model_names() if m != "adr"])
 @pytest.mark.parametrize("variant", ("lp", "ep"))
 def test_stream_matches_generator_replay_per_model(model, variant):
-    """Every enumerable model keeps the two replay tiers bit-identical
-    — in particular eADR/strict's store-time persistence must flow
-    through the interpreter's vectorised final-image pass exactly as
-    through MemoryState.store."""
+    """Every enumerable model keeps recording, replaying the recorded
+    stream and the generator run bit-identical — in particular
+    eADR/strict's store-time persistence."""
     m_rec, b_rec = bound_point("tmm", model)
     stream, r_rec = record_stream(m_rec, b_rec.threads(variant))
 
@@ -142,22 +159,22 @@ def test_stream_matches_generator_replay_per_model(model, variant):
     r_gen = m_gen.run(b_gen.threads(variant))
 
     m_stream, _ = bound_point("tmm", model)
-    r_stream = m_stream.run_stream(stream)
+    r_stream = m_stream.run(replay_threads(stream))
 
     assert_machines_identical(m_stream, m_gen, r_stream, r_gen)
     assert_machines_identical(m_rec, m_gen, r_rec, r_gen)
 
 
 def test_store_time_persistence_reaches_the_stream_image():
-    """Under eADR the stream interpreter's persistent map must match
-    the generator tier's address-for-address (last-wins on every line,
-    not just verified output regions)."""
+    """Under eADR a replayed stream's persistent map must match the
+    generator run's address-for-address (last-wins on every line, not
+    just verified output regions)."""
     m_gen, b_gen = bound_point("tmm", "eadr")
     m_gen.run(b_gen.threads("base"))
     m_rec, b_rec = bound_point("tmm", "eadr")
     stream, _ = record_stream(m_rec, b_rec.threads("base"))
     m_stream, _ = bound_point("tmm", "eadr")
-    m_stream.run_stream(stream)
+    m_stream.run(replay_threads(stream))
     assert m_stream.mem.persistent == m_gen.mem.persistent
     assert m_gen.mem.persistent  # non-vacuous: stores did persist
 
@@ -225,9 +242,9 @@ class _RoundTripRegion:
 @given(scripts)
 @settings(max_examples=25, deadline=None)
 def test_random_scripts_stream_identically_per_model(model, script_set):
-    """Recorded random scripts replay bit-identically through the
-    stream interpreter under every model class (baseline, store-time
-    persistence, epoch ordering)."""
+    """Recorded random scripts are unmodified replay runs and replay
+    bit-identically from the stream under every model class (baseline,
+    store-time persistence, epoch ordering)."""
 
     def fresh():
         machine = Machine(
@@ -238,7 +255,7 @@ def test_random_scripts_stream_identically_per_model(model, script_set):
         return machine, region
 
     m_rec, r_rec_region = fresh()
-    stream, _ = record_stream(
+    stream, r_rec = record_stream(
         m_rec, [_script_ops(r_rec_region, s) for s in script_set]
     )
 
@@ -246,6 +263,7 @@ def test_random_scripts_stream_identically_per_model(model, script_set):
     r_gen = m_gen.run([_script_ops(r_gen_region, s) for s in script_set])
 
     m_stream, _ = fresh()
-    r_stream = m_stream.run_stream(stream)
+    r_stream = m_stream.run(replay_threads(stream))
 
     assert_machines_identical(m_stream, m_gen, r_stream, r_gen)
+    assert_machines_identical(m_rec, m_gen, r_rec, r_gen)
