@@ -207,7 +207,7 @@ def test_sim_throughput(benchmark):
     )
     data["campaign"] = {
         "images": images_full,
-        "full_recovery_seconds": round(t_full, 2),
+        "full_machine_seconds": round(t_full, 2),
         "replay_seconds": round(t_fast, 2),
         "speedup": round(speedup, 2),
         "floor": SPEEDUP_FLOOR,

@@ -76,8 +76,6 @@ def run_crashcheck_campaign(
     cleaner_period: Optional[float] = None,
     n_jobs: int = 1,
     cache=None,
-    timing: Optional[str] = None,
-    replay: bool = True,
     journal_path: Optional[str] = None,
     progress: bool = False,
 ):
@@ -87,16 +85,10 @@ def run_crashcheck_campaign(
     variant (each spanning that variant's whole crash-point grid) and
     fans them through :func:`~repro.analysis.runner.run_jobs`, so
     campaigns parallelise and memoize exactly like experiment sweeps.
-    Returns ``{variant: CrashCheckReport}`` in input order.
-
-    ``timing`` overrides the config's timing model for the whole
-    campaign (profiling runs, crash-point runs and cache keys stay
-    consistent); the detailed default keeps crash-state spaces
-    identical to pre-pipeline campaigns, while ``"functional"``
-    explores the wider round-robin interleaving.  ``replay`` selects
-    per-image recovery on replay machines — exact for the recovery
-    verdict and the campaign's hot path; ``False`` restores
-    full-machine recovery runs (benchmarking / belt-and-suspenders).
+    Returns ``{variant: CrashCheckReport}`` in input order.  The
+    config's timing model drives the profiling runs, the crash-point
+    runs and the cache keys alike; each image is recovered on a replay
+    machine (see :func:`repro.verify.checker.check_crash_point`).
 
     ``journal_path``/``progress`` stream per-crash-point
     ``campaign_point`` events from the workers (a shared append-only
@@ -110,8 +102,6 @@ def run_crashcheck_campaign(
     from repro.verify import CrashCheckReport, plan_to_dict
     from repro.verify.checker import journal_point
 
-    if timing is not None:
-        config = config.with_timing(timing)
     jobs = []
     for variant in variants:
         plans = crash_plans_for(
@@ -135,7 +125,6 @@ def run_crashcheck_campaign(
                 num_threads=num_threads,
                 engine=engine,
                 cleaner_period=cleaner_period,
-                replay=replay,
                 journal_path=journal_path,
                 progress=progress,
             )

@@ -46,8 +46,8 @@ class ExperimentResult:
     #: Interval time series from the probe bus (the JSON-safe dict of
     #: :meth:`repro.obs.intervals.IntervalSampler.series`); ``None``
     #: unless ``run_variant(..., obs_interval=N)`` sampled the run.
-    #: Results carrying a series are cached under a distinct key
-    #: (``Job.obs_interval``), so plain runs never pay for or see it.
+    #: Sampling is a single-run feature: a ``Job`` cannot sample, so
+    #: the result cache never holds a series.
     intervals: Optional[Dict[str, object]] = None
 
     @property
@@ -206,7 +206,6 @@ def compare_variants(
     drain: bool = False,
     n_jobs: int = 1,
     cache=None,
-    obs_interval: Optional[float] = None,
 ) -> Dict[str, ExperimentResult]:
     """Run several variants of one workload under identical conditions.
 
@@ -226,7 +225,6 @@ def compare_variants(
             num_threads=num_threads,
             engine=engine,
             drain=drain,
-            obs_interval=obs_interval,
         )
         for v in variants
     ]

@@ -13,7 +13,7 @@ Scales:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.analysis.experiments import compare_variants
 from repro.analysis.runner import Job, run_jobs
@@ -51,15 +51,13 @@ def _config(threads: int) -> MachineConfig:
     return scaled_machine(num_cores=threads + 1)
 
 
-def _scheme_section(
-    scale: dict, n_jobs: int = 1, obs_interval: Optional[float] = None
-) -> str:
+def _scheme_section(scale: dict, n_jobs: int = 1) -> str:
     """Figure 10 flavour: all TMM schemes, normalized."""
     cfg = _config(scale["threads"])
     wl = get_workload("tmm")(**scale["workloads"]["tmm"])
     results = compare_variants(
         wl, cfg, list(wl.variants), num_threads=scale["threads"], drain=True,
-        n_jobs=n_jobs, obs_interval=obs_interval,
+        n_jobs=n_jobs,
     )
     base = results["base"]
     rows = []
@@ -81,9 +79,7 @@ def _scheme_section(
     )
 
 
-def _kernels_section(
-    scale: dict, n_jobs: int = 1, obs_interval: Optional[float] = None
-) -> str:
+def _kernels_section(scale: dict, n_jobs: int = 1) -> str:
     """Figures 12/13 flavour: LP vs EP across kernels.
 
     All (kernel, variant) points are independent, so the whole grid is
@@ -99,7 +95,6 @@ def _kernels_section(
             v,
             num_threads=scale["threads"],
             drain=True,
-            obs_interval=obs_interval,
         )
         for name, params in scale["workloads"].items()
         for v in variants
@@ -172,19 +167,13 @@ def _accuracy_section(scale: dict) -> str:
     )
 
 
-def reproduce(
-    scale: str = "quick",
-    n_jobs: int = 1,
-    obs_interval: Optional[float] = None,
-) -> str:
+def reproduce(scale: str = "quick", n_jobs: int = 1) -> str:
     """Run the compact reproduction and return the report text.
 
     ``n_jobs`` fans the independent experiment points inside each
     section out over that many processes (see
     :mod:`repro.analysis.runner`); the crash and accuracy sections are
-    sequential campaigns and always run serially.  ``obs_interval``
-    interval-samples the scheme/kernel experiment points (cached under
-    distinct keys; the report text itself is unchanged).
+    sequential campaigns and always run serially.
     """
     try:
         params = _SCALES[scale]
@@ -194,8 +183,8 @@ def reproduce(
         ) from None
     sections = [
         f"# Lazy Persistency reproduction report (scale: {scale})",
-        _scheme_section(params, n_jobs=n_jobs, obs_interval=obs_interval),
-        _kernels_section(params, n_jobs=n_jobs, obs_interval=obs_interval),
+        _scheme_section(params, n_jobs=n_jobs),
+        _kernels_section(params, n_jobs=n_jobs),
         _recovery_section(params),
         _accuracy_section(params),
         (

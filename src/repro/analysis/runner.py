@@ -168,14 +168,6 @@ class Job:
     cleaner_period: Optional[float] = None
     verify: bool = True
     drain: bool = False
-    #: Interval-sampling window in cycles (``None`` = no observability).
-    #: Part of the cache key when set, so sampled results live under
-    #: distinct keys and can never be served to (or poison) plain runs.
-    obs_interval: Optional[float] = None
-    #: Provenance tagging (free Phase frame ops for stall attribution).
-    #: Same keying discipline as ``obs_interval``: in the key only when
-    #: on, so untagged jobs keep their pre-provenance keys.
-    provenance: bool = False
 
     def cache_key(self) -> str:
         """Content-addressed identity of this job's result."""
@@ -191,12 +183,6 @@ class Job:
             "code": code_version(),
             "format": CACHE_FORMAT_VERSION,
         }
-        # Only present when sampling, so every pre-observability key
-        # (and any plain run's key) is byte-identical to before.
-        if self.obs_interval is not None:
-            payload["obs_interval"] = self.obs_interval
-        if self.provenance:
-            payload["provenance"] = True
         return hashlib.sha256(
             json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
         ).hexdigest()
@@ -226,8 +212,6 @@ class Job:
             cleaner_period=self.cleaner_period,
             verify=self.verify,
             drain=self.drain,
-            obs_interval=self.obs_interval,
-            provenance=self.provenance,
         )
 
 
@@ -254,9 +238,6 @@ class CrashCheckJob:
     num_threads: int = 2
     engine: str = "modular"
     cleaner_period: Optional[float] = None
-    #: Per-image recovery on replay machines (exact and much faster;
-    #: False restores full-machine recovery runs for benchmarking).
-    replay: bool = True
     #: Streaming-observability plumbing: an append-only JSONL journal
     #: the worker writes ``campaign_point`` events to, and/or stderr
     #: progress ticks.  Neither changes the campaign's outcome, so
@@ -286,7 +267,6 @@ class CrashCheckJob:
                 "num_threads": self.num_threads,
                 "engine": self.engine,
                 "cleaner_period": self.cleaner_period,
-                "replay": self.replay,
                 "code": code_version(),
                 "format": CACHE_FORMAT_VERSION,
             },
@@ -333,7 +313,6 @@ class CrashCheckJob:
             num_threads=self.num_threads,
             engine=self.engine,
             cleaner_period=self.cleaner_period,
-            replay=self.replay,
             journal=journal,
         )
 
@@ -650,7 +629,6 @@ def run_jobs(
     jobs: Sequence[Job],
     n_jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    mp_context: str = "spawn",
     decode=None,
     journal: Optional["TelemetryJournal"] = None,
 ) -> List[ExperimentResult]:
@@ -725,7 +703,7 @@ def run_jobs(
                 result = job.run()
                 finished.append((i, result, start, time.time()))
         else:
-            ctx = multiprocessing.get_context(mp_context)
+            ctx = multiprocessing.get_context("spawn")
             workers = min(n_jobs, len(pending_jobs))
             with ctx.Pool(processes=workers) as pool:
                 finished = list(
@@ -756,16 +734,3 @@ def run_jobs(
 
     return [r for r in results if r is not None]
 
-
-def run_variant_cached(
-    workload: Workload,
-    config: MachineConfig,
-    variant: str,
-    cache: Optional[ResultCache] = None,
-    **kwargs,
-) -> ExperimentResult:
-    """One-point convenience wrapper: ``run_variant`` through the cache."""
-    (result,) = run_jobs(
-        [Job(workload, config, variant, **kwargs)], n_jobs=1, cache=cache
-    )
-    return result

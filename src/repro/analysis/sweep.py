@@ -10,11 +10,6 @@ engine (:mod:`repro.analysis.runner`): pass ``n_jobs=N`` to simulate
 independent points on N processes and ``cache=ResultCache()`` to
 memoize each point on disk.  The defaults (``n_jobs=1``, no cache)
 reproduce the original serial behaviour exactly.
-
-``obs_interval=N`` additionally samples every point into an N-cycle
-interval series (``result.intervals``); sampled points are cached
-under distinct keys, so plain sweeps and sampled sweeps never share
-cache entries.
 """
 
 from __future__ import annotations
@@ -45,7 +40,6 @@ def sweep_nvmm_latency(
     num_threads: int = 8,
     n_jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    obs_interval: Optional[float] = None,
 ) -> Dict[Tuple[float, float], Dict[str, ExperimentResult]]:
     """Figure 14(a): (read, write) latency points, in cycles."""
     latencies = [tuple(point) for point in latencies]
@@ -55,7 +49,6 @@ def sweep_nvmm_latency(
             config.with_nvmm_latency(read_cycles, write_cycles),
             v,
             num_threads=num_threads,
-            obs_interval=obs_interval,
         )
         for read_cycles, write_cycles in latencies
         for v in variants
@@ -71,7 +64,6 @@ def sweep_threads(
     variants: Sequence[str] = ("base", "lp"),
     n_jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    obs_interval: Optional[float] = None,
 ) -> Dict[int, Dict[str, ExperimentResult]]:
     """Figure 14(b): scalability from 1 to 16 threads."""
     jobs = [
@@ -80,7 +72,6 @@ def sweep_threads(
             config.with_cores(cores_for_workers(p, config)),
             v,
             num_threads=p,
-            obs_interval=obs_interval,
         )
         for p in thread_counts
         for v in variants
@@ -97,7 +88,6 @@ def sweep_l2_size(
     num_threads: int = 8,
     n_jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    obs_interval: Optional[float] = None,
 ) -> Dict[int, Dict[str, ExperimentResult]]:
     """Figure 15(a): L2 capacity sweep."""
     jobs = [
@@ -106,7 +96,6 @@ def sweep_l2_size(
             config.with_l2_size(size),
             v,
             num_threads=num_threads,
-            obs_interval=obs_interval,
         )
         for size in sizes_bytes
         for v in variants
@@ -122,7 +111,6 @@ def sweep_checksum(
     num_threads: int = 8,
     n_jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    obs_interval: Optional[float] = None,
 ) -> Dict[str, ExperimentResult]:
     """Figure 15(b): LP under each error-detection code."""
     jobs = [
@@ -132,7 +120,6 @@ def sweep_checksum(
             "lp",
             num_threads=num_threads,
             engine=e,
-            obs_interval=obs_interval,
         )
         for e in engines
     ]
@@ -148,7 +135,6 @@ def sweep_cleaner_period(
     num_threads: int = 8,
     n_jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    obs_interval: Optional[float] = None,
 ) -> Dict[Optional[float], ExperimentResult]:
     """Figure 11: periodic-flush interval sweep (None = no cleaner)."""
     jobs = [
@@ -158,7 +144,6 @@ def sweep_cleaner_period(
             variant,
             num_threads=num_threads,
             cleaner_period=p,
-            obs_interval=obs_interval,
         )
         for p in periods
     ]

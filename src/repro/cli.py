@@ -16,6 +16,7 @@ system).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -211,18 +212,59 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    config = _machine(args)
-    started = time.perf_counter()
-    result = run_variant(
+def _observed_run(args, config, observers=(), variant=None, **kwargs):
+    """One run of the command's point — its workload, ``--variant``
+    (or ``variant``), threads, engine and cleaner — with ``observers``
+    on the probe bus; ``kwargs`` go to ``run_variant``."""
+    return run_variant(
         _workload(args),
         config,
-        args.variant,
+        variant or args.variant,
         num_threads=args.threads,
         engine=args.engine,
         cleaner_period=args.cleaner_period,
-        drain=args.drain,
-        obs_interval=args.obs_interval,
+        observers=observers,
+        **kwargs,
+    )
+
+
+def _write_out(path: str, doc, csv=None) -> None:
+    """Write ``doc`` as sorted, indented JSON — or, for a ``.csv``
+    path, the text ``csv()`` returns."""
+    with open(path, "w") as fh:
+        if csv is not None and path.endswith(".csv"):
+            fh.write(csv())
+        else:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
+def _write_report(args, result, config, wall_clock_s: float = 0.0) -> None:
+    """Save the run's RunReport to ``--report-out``, when given."""
+    if not args.report_out:
+        return
+    from repro.obs import RunReport
+
+    RunReport.from_result(
+        result,
+        config,
+        engine=args.engine,
+        wall_clock_s=wall_clock_s,
+        workload_params=_parse_params(args.param),
+    ).save(args.report_out)
+    print(f"[run report saved to {args.report_out}]")
+
+
+def _cmd_run(args) -> int:
+    if args.obs_out and args.obs_interval is None:
+        # A usage error, so it is refused before anything is simulated.
+        print("repro run: error: --obs-out requires --obs-interval",
+              file=sys.stderr)
+        raise SystemExit(2)
+    config = _machine(args)
+    started = time.perf_counter()
+    result = _observed_run(
+        args, config, drain=args.drain, obs_interval=args.obs_interval
     )
     wall_clock_s = time.perf_counter() - started
     rows = [[k, v] for k, v in sorted(result.summary_dict().items())]
@@ -233,59 +275,24 @@ def _cmd_run(args) -> int:
         )
     )
     if args.obs_out:
-        if result.intervals is None:
-            raise SystemExit("--obs-out requires --obs-interval")
-        _write_intervals(result.intervals, args.obs_out)
-        print(f"\n[interval series saved to {args.obs_out}]")
-    if args.report_out:
-        from repro.obs import RunReport
+        from repro.obs import IntervalSampler
 
-        report = RunReport.from_result(
-            result,
-            config,
-            engine=args.engine,
-            wall_clock_s=wall_clock_s,
-            workload_params=_parse_params(args.param),
-        )
-        report.save(args.report_out)
-        print(f"[run report saved to {args.report_out}]")
+        sampler = IntervalSampler(args.obs_interval)
+        _write_out(args.obs_out, result.intervals,
+                   csv=lambda: sampler.csv(result.intervals))
+        print(f"\n[interval series saved to {args.obs_out}]")
+    _write_report(args, result, config, wall_clock_s)
     return 0
 
 
-def _write_intervals(intervals: Dict[str, object], out: str) -> None:
-    """Dump an interval series as JSON, or CSV for ``.csv`` paths."""
-    import json
-
-    if out.endswith(".csv"):
-        from repro.obs import IntervalSampler
-
-        text = IntervalSampler(
-            float(intervals["interval"])  # type: ignore[arg-type]
-        ).csv(intervals)
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        with open(out, "w") as fh:
-            json.dump(intervals, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
 def _cmd_trace(args) -> int:
-    from repro.obs import RunReport, TraceRecorder, write_chrome_trace
+    from repro.obs import TraceRecorder, write_chrome_trace
     from repro.obs.report import config_hash
 
     _smoke_adjust(args)
     config = _machine(args)
     recorder = TraceRecorder()
-    result = run_variant(
-        _workload(args),
-        config,
-        args.variant,
-        num_threads=args.threads,
-        engine=args.engine,
-        cleaner_period=args.cleaner_period,
-        observers=[recorder],
-    )
+    result = _observed_run(args, config, [recorder])
     out = args.out or f"{args.workload}-{args.variant}.trace.json"
     count = write_chrome_trace(
         recorder,
@@ -304,15 +311,7 @@ def _cmd_trace(args) -> int:
         f"-> {count} trace events -> {out}"
     )
     print("open in ui.perfetto.dev or chrome://tracing")
-    if args.report_out:
-        report = RunReport.from_result(
-            result,
-            config,
-            engine=args.engine,
-            workload_params=_parse_params(args.param),
-        )
-        report.save(args.report_out)
-        print(f"[run report saved to {args.report_out}]")
+    _write_report(args, result, config)
     return 0
 
 
@@ -322,23 +321,12 @@ def _cmd_heatmap(args) -> int:
 
     _smoke_adjust(args)
     config = _machine(args)
-    run_kwargs = dict(
-        num_threads=args.threads,
-        engine=args.engine,
-        cleaner_period=args.cleaner_period,
-    )
     heatmap = WriteHeatmap()
-    run_variant(
-        _workload(args), config, args.variant,
-        observers=[heatmap], **run_kwargs,
-    )
+    _observed_run(args, config, [heatmap])
     base = None
     if args.base_variant and args.base_variant != "none":
         base = WriteHeatmap()
-        run_variant(
-            _workload(args), config, args.base_variant,
-            observers=[base], **run_kwargs,
-        )
+        _observed_run(args, config, [base], variant=args.base_variant)
     print(
         render_heatmap(
             heatmap, base=base, top=args.top,
@@ -346,15 +334,7 @@ def _cmd_heatmap(args) -> int:
         )
     )
     if args.out:
-        if args.out.endswith(".csv"):
-            with open(args.out, "w") as fh:
-                fh.write(heatmap.csv())
-        else:
-            import json
-
-            with open(args.out, "w") as fh:
-                json.dump(heatmap.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        _write_out(args.out, heatmap.to_dict(), csv=heatmap.csv)
         print(f"\n[heatmap saved to {args.out}]")
     return 0
 
@@ -366,14 +346,7 @@ def _cmd_flame(args) -> int:
     _smoke_adjust(args)
     config = _machine(args)
     flame = StallFlame(root=f"{args.workload}/{args.variant}")
-    run_variant(
-        _workload(args), config, args.variant,
-        num_threads=args.threads,
-        engine=args.engine,
-        cleaner_period=args.cleaner_period,
-        observers=[flame],
-        provenance=True,
-    )
+    _observed_run(args, config, [flame], provenance=True)
     print(render_flame(flame, top=args.top))
     if flame.total_stall_cycles == 0 and config.timing == "functional":
         print(
@@ -539,7 +512,6 @@ def _cmd_compare(args) -> int:
         drain=True,  # count residual dirty lines: fair at small scale
         n_jobs=args.jobs,
         cache=_cache(args),
-        obs_interval=args.obs_interval,
     )
     base_name = variants[0]
     base = results[base_name]
@@ -688,7 +660,6 @@ def _cmd_crashcheck(args) -> int:
             cleaner_period=args.cleaner_period,
             n_jobs=args.jobs,
             cache=cache,
-            replay=not args.full_recovery,
             journal_path=args.journal,
             progress=args.progress,
         )
@@ -745,8 +716,6 @@ def _cmd_crashcheck(args) -> int:
         if extra > 0:
             print(f"  ... and {extra} more for {variant}")
     if args.cex_out:
-        import json
-
         os.makedirs(args.cex_out, exist_ok=True)
         dumped = 0
         for variant, report in reports.items():
@@ -755,9 +724,7 @@ def _cmd_crashcheck(args) -> int:
                     args.cex_out,
                     f"{args.workload}-{variant}-cex{idx:03d}.json",
                 )
-                with open(path, "w") as fh:
-                    json.dump(cex.to_dict(), fh, indent=2, sort_keys=True)
-                    fh.write("\n")
+                _write_out(path, cex.to_dict())
                 dumped += 1
         if dumped:
             print(f"\n[{dumped} counterexample(s) written to {args.cex_out}]")
@@ -778,8 +745,6 @@ def _cmd_litmus(args) -> int:
     then fails the run, which is how CI proves the harness actually
     catches the broken model (the command must exit 1).
     """
-    import json
-
     from repro.verify.litmus import (
         DivergenceReport,
         check_model,
@@ -875,9 +840,7 @@ def _cmd_litmus(args) -> int:
             path = os.path.join(
                 args.out, f"litmus-{report.model}-div{idx:03d}.json"
             )
-            with open(path, "w") as fh:
-                json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_out(path, report.to_dict())
         if all_reports:
             print(
                 f"\n[{len(all_reports)} divergence report(s) written "
@@ -919,9 +882,7 @@ def _cmd_idempotence(args) -> int:
 def _cmd_reproduce(args) -> int:
     from repro.analysis.paperfigures import reproduce
 
-    report = reproduce(
-        scale=args.scale, n_jobs=args.jobs, obs_interval=args.obs_interval
-    )
+    report = reproduce(scale=args.scale, n_jobs=args.jobs)
     print(report)
     if args.out:
         with open(args.out, "w") as fh:
@@ -936,9 +897,7 @@ def _cmd_sweep(args) -> int:
     wl = _workload(args)
     cfg = _machine(args)
     cache = _cache(args)
-    engine_opts = dict(
-        n_jobs=args.jobs, cache=cache, obs_interval=args.obs_interval
-    )
+    engine_opts = dict(n_jobs=args.jobs, cache=cache)
     with collect_telemetry(args.journal) as journal:
         return _run_sweep(args, wl, cfg, cache, engine_opts, journal)
 
@@ -1012,7 +971,14 @@ def _run_sweep(args, wl, cfg, cache, engine_opts, journal) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the argparse command tree."""
+    """Construct the argparse command tree.
+
+    Each flag that several subcommands take is defined once, by one of
+    the builders below, and a default that differs by subcommand (such
+    as ``--machine``'s) is a builder argument.  Shared argparse parents
+    would not do: they share their Action objects, so a per-subcommand
+    default set on one leaks into every subcommand built from it.
+    """
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Lazy Persistency (ISCA 2018) reproduction toolkit",
@@ -1021,23 +987,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list workloads, engines, presets")
 
-    def common(p, machine_default="scaled"):
+    def machine_flags(
+        p,
+        machine_default,
+        machine_help=None,
+        param_help="workload parameter (repeatable), e.g. -p n=48",
+    ):
         # machine_default=None marks smoke-aware commands: REPRO_SMOKE=1
         # then selects the tiny preset (see _smoke_adjust).
-        p.add_argument("workload", choices=available_workloads())
         p.add_argument("--threads", type=int, default=2)
         p.add_argument(
-            "--machine", choices=sorted(_PRESETS), default=machine_default
+            "--machine", choices=sorted(_PRESETS), default=machine_default,
+            help=machine_help,
         )
         p.add_argument("--engine", default="modular")
-        timing_flag(p)
-        model_flag(p)
         p.add_argument(
-            "-p", "--param", action="append", metavar="KEY=VALUE",
-            help="workload parameter (repeatable), e.g. -p n=48",
+            "--timing", choices=sorted(TIMING_MODELS), default="detailed",
+            help="timing model (default: detailed — paper-faithful "
+            "latencies; functional is the fast +1-cycle model for "
+            "semantics-only runs)",
         )
-
-    def model_flag(p):
         p.add_argument(
             "--model", choices=model_names(), default=DEFAULT_MODEL,
             help="persistency model (default: adr — the paper's "
@@ -1047,28 +1016,51 @@ def build_parser() -> argparse.ArgumentParser:
             "platform; eadr_nofence is deliberately broken for harness "
             "validation)",
         )
-
-    def timing_flag(p):
         p.add_argument(
-            "--timing", choices=sorted(TIMING_MODELS), default="detailed",
-            help="timing model (default: detailed — paper-faithful "
-            "latencies; functional is the fast +1-cycle model for "
-            "semantics-only runs)",
+            "-p", "--param", action="append", metavar="KEY=VALUE",
+            help=param_help,
         )
 
-    def obs_flag(p):
+    def point(p, machine_default="scaled"):
+        p.add_argument("workload", choices=available_workloads())
+        machine_flags(p, machine_default)
+
+    def cleaner_flag(p):
         p.add_argument(
-            "--obs-interval", type=float, default=None, metavar="CYCLES",
-            help="sample the run into a CYCLES-wide interval time series "
-            "(stalls, writes, queue depth per window; cached under a "
-            "distinct key)",
+            "--cleaner-period", type=float, default=None, metavar="CYCLES",
+            help="write back every dirty line each CYCLES cycles "
+            "(default: no periodic cleaner)",
         )
 
-    def engine_flags(p):
+    def single_run(p, machine_default=None):
+        # run, trace, heatmap and flame: one observed run of a point.
+        point(p, machine_default)
+        p.add_argument("--variant", default="lp", choices=scheme_names())
+        cleaner_flag(p)
+
+    def report_out_flag(p):
+        p.add_argument(
+            "--report-out", default=None, metavar="FILE",
+            help="write a RunReport manifest (JSON) for `repro report`",
+        )
+
+    def journal_flag(p):
+        p.add_argument(
+            "--journal", default=None, metavar="FILE",
+            help="append telemetry events to this JSONL journal while "
+            "the command runs (tail it with `repro watch`, render it "
+            "with `repro dashboard`); does not affect results or cache "
+            "keys",
+        )
+
+    def jobs_flag(p):
         p.add_argument(
             "--jobs", type=int, default=1, metavar="N",
             help="run experiment points on N parallel processes",
         )
+
+    def engine_flags(p):
+        jobs_flag(p)
         p.add_argument(
             "--no-cache", action="store_true",
             help="skip the on-disk result cache (always re-simulate)",
@@ -1080,48 +1072,40 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p_run = sub.add_parser("run", help="run one variant and print metrics")
-    common(p_run)
-    p_run.add_argument("--variant", default="lp", choices=scheme_names())
-    p_run.add_argument("--cleaner-period", type=float, default=None)
+    single_run(p_run, machine_default="scaled")
     p_run.add_argument("--drain", action="store_true")
-    obs_flag(p_run)
+    p_run.add_argument(
+        "--obs-interval", type=float, default=None, metavar="CYCLES",
+        help="sample the run into a CYCLES-wide interval time series "
+        "(stalls, writes, queue depth per window)",
+    )
     p_run.add_argument(
         "--obs-out", default=None, metavar="FILE",
         help="write the interval series here (.csv for CSV, else JSON; "
         "needs --obs-interval)",
     )
-    p_run.add_argument(
-        "--report-out", default=None, metavar="FILE",
-        help="write a RunReport manifest (JSON) for `repro report`",
-    )
+    report_out_flag(p_run)
 
     p_trace = sub.add_parser(
         "trace", help="record a run and export a Perfetto/Chrome trace"
     )
-    common(p_trace, machine_default=None)
-    p_trace.add_argument("--variant", default="lp", choices=scheme_names())
-    p_trace.add_argument("--cleaner-period", type=float, default=None)
+    single_run(p_trace)
     p_trace.add_argument(
         "--out", default=None, metavar="FILE",
         help="trace output path (default: <workload>-<variant>.trace.json)",
     )
-    p_trace.add_argument(
-        "--report-out", default=None, metavar="FILE",
-        help="also write a RunReport manifest (JSON)",
-    )
+    report_out_flag(p_trace)
 
     p_heatmap = sub.add_parser(
         "heatmap",
         help="per-line/per-region NVMM write heatmap (wear + coalescing)",
     )
-    common(p_heatmap, machine_default=None)
-    p_heatmap.add_argument("--variant", default="lp", choices=scheme_names())
+    single_run(p_heatmap)
     p_heatmap.add_argument(
         "--base-variant", default="base", metavar="VARIANT",
         help="non-persistent reference for per-region write "
         "amplification (default: base; 'none' disables the second run)",
     )
-    p_heatmap.add_argument("--cleaner-period", type=float, default=None)
     p_heatmap.add_argument(
         "--top", type=int, default=10, metavar="K",
         help="hot lines to list (default 10)",
@@ -1136,9 +1120,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stall flamegraph: provenance x cause, collapsed-stack "
         "output for speedscope/inferno",
     )
-    common(p_flame, machine_default=None)
-    p_flame.add_argument("--variant", default="lp", choices=scheme_names())
-    p_flame.add_argument("--cleaner-period", type=float, default=None)
+    single_run(p_flame)
     p_flame.add_argument(
         "--top", type=int, default=15, metavar="K",
         help="stacks to list in the text table (default 15)",
@@ -1232,15 +1214,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_cmp = sub.add_parser("compare", help="compare variants (normalized)")
-    common(p_cmp)
+    point(p_cmp)
     engine_flags(p_cmp)
-    obs_flag(p_cmp)
     p_cmp.add_argument("--variants", default="base,lp,ep")
 
     p_crash = sub.add_parser("crash", help="crash an LP run and recover")
-    common(p_crash)
+    point(p_crash)
     p_crash.add_argument("--at-op", type=int, required=True)
-    p_crash.add_argument("--cleaner-period", type=float, default=None)
+    cleaner_flag(p_crash)
 
     p_cc = sub.add_parser(
         "crashcheck",
@@ -1250,24 +1231,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--workload", choices=available_workloads(), default="tmm",
         help="workload to check (default: tmm)",
     )
-    p_cc.add_argument("--threads", type=int, default=2)
-    p_cc.add_argument(
-        "--machine", choices=sorted(_PRESETS), default="tiny",
-        help="machine preset (default: tiny — small caches keep the "
-        "reachable-image space enumerable)",
-    )
-    p_cc.add_argument("--engine", default="modular")
-    timing_flag(p_cc)
-    model_flag(p_cc)
-    p_cc.add_argument(
-        "--full-recovery", action="store_true",
-        help="verify each image with a full-machine recovery run "
-        "instead of the fast replay machine (slow; for benchmarking "
-        "and belt-and-suspenders checks)",
-    )
-    p_cc.add_argument(
-        "-p", "--param", action="append", metavar="KEY=VALUE",
-        help="workload parameter (repeatable); defaults to a small "
+    machine_flags(
+        p_cc,
+        machine_default="tiny",
+        machine_help="machine preset (default: tiny — small caches keep "
+        "the reachable-image space enumerable)",
+        param_help="workload parameter (repeatable); defaults to a small "
         "crashcheck-friendly problem size",
     )
     p_cc.add_argument(
@@ -1307,13 +1276,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump every counterexample as JSON into DIR (created if "
         "missing); the nightly workflow uploads this as an artifact",
     )
-    p_cc.add_argument("--cleaner-period", type=float, default=None)
-    p_cc.add_argument(
-        "--journal", default=None, metavar="FILE",
-        help="append per-point campaign events and job spans to this "
-        "JSONL telemetry journal while the campaign runs (tail it "
-        "with `repro watch`); does not affect results or cache keys",
-    )
+    cleaner_flag(p_cc)
+    journal_flag(p_cc)
     p_cc.add_argument(
         "--progress", action="store_true",
         help="print per-crash-point coverage ticks to stderr as they "
@@ -1364,41 +1328,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay one divergence-report JSON and re-judge it "
         "(exit 0 if it still diverges)",
     )
-    p_litmus.add_argument(
-        "--journal", default=None, metavar="FILE",
-        help="append one litmus_program event per cross-checked "
-        "program to this JSONL telemetry journal (`repro watch`)",
-    )
+    journal_flag(p_litmus)
 
     p_sweep = sub.add_parser("sweep", help="parameter sweeps")
     p_sweep.add_argument(
         "kind", choices=["checksum", "latency", "threads", "cleaner"]
     )
-    common(p_sweep)
+    point(p_sweep)
     engine_flags(p_sweep)
-    obs_flag(p_sweep)
-    p_sweep.add_argument(
-        "--journal", default=None, metavar="FILE",
-        help="also stream job spans and batch summaries to this JSONL "
-        "telemetry journal while the sweep runs (`repro watch`, "
-        "`repro dashboard`)",
-    )
+    journal_flag(p_sweep)
 
     p_idem = sub.add_parser(
         "idempotence", help="classify a workload's LP regions (III-E)"
     )
-    common(p_idem)
+    point(p_idem)
 
     p_rep = sub.add_parser(
         "reproduce", help="compact end-to-end paper reproduction report"
     )
     p_rep.add_argument("--scale", choices=["smoke", "quick"], default="quick")
     p_rep.add_argument("--out", default=None, help="also write report here")
-    p_rep.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run experiment points on N parallel processes",
-    )
-    obs_flag(p_rep)
+    jobs_flag(p_rep)
     return parser
 
 

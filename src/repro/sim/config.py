@@ -220,9 +220,7 @@ class MachineConfig:
         and Python versions.
 
         ``model`` is omitted at its default ("adr") so every artifact
-        hashed before the model axis existed keeps its key — the same
-        omit-when-default discipline the runner applies to
-        ``obs_interval`` and ``provenance``.
+        hashed before the model axis existed keeps its key.
         """
         payload = asdict(self)
         if payload["model"] == DEFAULT_MODEL:

@@ -331,7 +331,6 @@ def check_crash_point(
     num_threads: int = 2,
     engine: str = "modular",
     cleaner_period: Optional[float] = None,
-    timing: Optional[str] = None,
     replay: bool = True,
 ) -> CrashPointReport:
     """Run ``variant`` to the ``crash`` trigger, enumerate every
@@ -344,14 +343,14 @@ def check_crash_point(
     counterexamples carry that image but no events; replay them with
     :func:`~repro.sim.crash.run_with_crash`.
 
-    ``timing`` overrides the config's timing model for the crash-point
-    run (the run that defines the reachable-image space); ``replay``
-    selects the fast cache-free machine for per-image recovery runs
-    (see :func:`_run_recovery`).
+    The config's timing model runs the crash-point run, which defines
+    the reachable-image space (``config.with_timing(...)`` selects
+    another).  ``replay`` recovers each image on the fast cache-free
+    machine; ``False`` recovers on a full machine, whose
+    ``recovery_cycles`` are the modelled recovery time (see
+    :func:`_run_recovery`).
     """
     started = time.perf_counter()
-    if timing is not None:
-        config = config.with_timing(timing)
     crash_key = plan_to_dict(crash)
     machine = Machine(config)
     if cleaner_period is not None:
@@ -455,8 +454,6 @@ def check_variant(
     num_threads: int = 2,
     engine: str = "modular",
     cleaner_period: Optional[float] = None,
-    stop_on_failure: bool = False,
-    timing: Optional[str] = None,
     replay: bool = True,
     journal: Optional[Any] = None,
 ) -> CrashCheckReport:
@@ -481,14 +478,11 @@ def check_variant(
             num_threads=num_threads,
             engine=engine,
             cleaner_period=cleaner_period,
-            timing=timing,
             replay=replay,
         )
         report.points.append(point)
         if journal is not None:
             journal_point(journal, label, point)
-        if stop_on_failure and not point.ok:
-            break
     return report
 
 
@@ -528,19 +522,16 @@ def replay_counterexample(
     num_threads: int = 2,
     engine: str = "modular",
     cleaner_period: Optional[float] = None,
-    timing: Optional[str] = None,
 ) -> bool:
     """Re-run a counterexample from its replay fields.
 
     Returns True when the failure reproduces (recovery on the minimized
     image is still wrong).  Deterministic: the run, the snapshot, and
     the event ids all reproduce from (workload, config, crash point) —
-    ``timing`` must therefore match the timing model the counterexample
+    ``config`` must therefore carry the timing model the counterexample
     was found under (it changes multicore interleaving and hence the
     space's event ids).
     """
-    if timing is not None:
-        config = config.with_timing(timing)
     machine = Machine(config)
     if cleaner_period is not None:
         machine.cleaner = PeriodicCleaner(cleaner_period)

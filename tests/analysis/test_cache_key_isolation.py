@@ -39,10 +39,6 @@ def manual_key(job):
         "code": code_version(),
         "format": CACHE_FORMAT_VERSION,
     }
-    if job.obs_interval is not None:
-        payload["obs_interval"] = job.obs_interval
-    if job.provenance:
-        payload["provenance"] = True
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
@@ -61,17 +57,12 @@ class TestKeySchemaStability:
             assert job.cache_key() == manual_key(job)
 
     def test_observability_fields_stay_conditional(self):
+        # Sampling and provenance tagging are single-run features: a
+        # job cannot carry them, so no cached result holds a series.
         wl = get_workload("log")(records=4, width=2)
-        plain = Job(wl, tiny_machine(), "lp", num_threads=2)
-        sampled = Job(
-            wl, tiny_machine(), "lp", num_threads=2, obs_interval=500.0
-        )
-        tagged = Job(
-            wl, tiny_machine(), "lp", num_threads=2, provenance=True
-        )
-        assert sampled.cache_key() == manual_key(sampled)
-        assert tagged.cache_key() == manual_key(tagged)
-        assert len({plain.cache_key(), sampled.cache_key(), tagged.cache_key()}) == 3
+        for field in ({"obs_interval": 500.0}, {"provenance": True}):
+            with pytest.raises(TypeError):
+                Job(wl, tiny_machine(), "lp", num_threads=2, **field)
 
 
 class TestWorkloadSpecs:

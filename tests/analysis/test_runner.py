@@ -1,5 +1,6 @@
 """Tests for the parallel experiment engine and its on-disk cache."""
 
+import dataclasses
 import json
 import os
 
@@ -11,7 +12,6 @@ from repro.analysis.runner import (
     ResultCache,
     code_version,
     run_jobs,
-    run_variant_cached,
     workload_from_spec,
     workload_spec,
 )
@@ -122,19 +122,18 @@ class TestWorkloadSpecRoundTrip:
 
 
 class TestObsCacheIsolation:
-    """Observability must never poison (or be served from) plain keys."""
+    """Observability must never poison (or be served from) the cache.
+
+    Interval sampling and provenance tagging are single-run features
+    (``run_variant``): no job carries them, so the cache only ever
+    holds plain results, keyed on what the simulation depends on.
+    """
 
     def test_obs_interval_changes_the_key(self):
-        plain = Job(tmm(), config(), "lp", num_threads=2)
-        sampled = Job(
-            tmm(), config(), "lp", num_threads=2, obs_interval=500.0
-        )
-        other = Job(
-            tmm(), config(), "lp", num_threads=2, obs_interval=1000.0
-        )
-        assert len(
-            {plain.cache_key(), sampled.cache_key(), other.cache_key()}
-        ) == 3
+        for interval in (500.0, 1000.0):
+            with pytest.raises(TypeError):
+                Job(tmm(), config(), "lp", num_threads=2,
+                    obs_interval=interval)
 
     def test_unsampled_key_matches_pre_observability_layout(self):
         # The pre-observability key layout must survive byte-for-byte,
@@ -164,38 +163,32 @@ class TestObsCacheIsolation:
         assert job.cache_key() == expected
 
     def test_provenance_keying_mirrors_obs_interval(self):
-        # Off (the default) leaves the key byte-identical to a plain
-        # job — the pre-provenance pin above keeps holding — and on
-        # moves the result under a distinct key.
-        plain = Job(tmm(), config(), "lp", num_threads=2)
-        off = Job(tmm(), config(), "lp", num_threads=2, provenance=False)
-        on = Job(tmm(), config(), "lp", num_threads=2, provenance=True)
-        assert off.cache_key() == plain.cache_key()
-        assert on.cache_key() != plain.cache_key()
+        with pytest.raises(TypeError):
+            Job(tmm(), config(), "lp", num_threads=2, provenance=True)
 
     def test_sampled_results_round_trip_through_the_cache(self, tmp_path):
+        # Fresh or served from the cache, an engine result carries no
+        # interval series.
         cache = ResultCache(root=str(tmp_path))
-        job = Job(tmm(), config(), "lp", num_threads=2, obs_interval=500.0)
+        job = Job(tmm(), config(), "lp", num_threads=2)
         (first,) = run_jobs([job], cache=cache)
-        assert first.intervals is not None
-        assert first.intervals["num_buckets"] > 0
         (second,) = run_jobs([job], cache=cache)
         assert cache.stats.hits == 1
-        assert second.intervals == first.intervals
+        assert first.intervals is None and second.intervals is None
 
     def test_plain_and_sampled_results_agree_on_metrics(self, tmp_path):
+        # Sampling observes a run without changing it: a sampled single
+        # run matches the cached plain result on every metric.
         cache = ResultCache(root=str(tmp_path))
-        (plain,) = run_jobs(
-            [Job(tmm(), config(), "lp", num_threads=2)], cache=cache
+        job = Job(tmm(), config(), "lp", num_threads=2)
+        run_jobs([job], cache=cache)
+        (cached,) = run_jobs([job], cache=cache)
+        assert cache.stats.hits == 1
+        sampled = run_variant(
+            tmm(), config(), "lp", num_threads=2, obs_interval=500.0
         )
-        (sampled,) = run_jobs(
-            [Job(tmm(), config(), "lp", num_threads=2, obs_interval=500.0)],
-            cache=cache,
-        )
-        assert plain.intervals is None
-        assert plain.exec_cycles == sampled.exec_cycles
-        assert plain.nvmm_writes == sampled.nvmm_writes
-        assert plain.hazards == sampled.hazards
+        assert sampled.intervals["num_buckets"] > 0
+        assert dataclasses.replace(sampled, intervals=None) == cached
 
 
 class TestSerialEngine:
@@ -299,13 +292,13 @@ class TestResultCache:
         assert cache.get(jobs_for()[0].cache_key()) is None
 
     def test_run_variant_cached_wrapper(self, tmp_path):
+        # One point through the cache is a one-job run_jobs batch.
         cache = ResultCache(str(tmp_path))
-        r1 = run_variant_cached(tmm(), config(), "lp", cache=cache,
-                                num_threads=2)
-        r2 = run_variant_cached(tmm(), config(), "lp", cache=cache,
-                                num_threads=2)
+        job = Job(tmm(), config(), "lp", num_threads=2)
+        (r1,) = run_jobs([job], n_jobs=1, cache=cache)
+        (r2,) = run_jobs([job], n_jobs=1, cache=cache)
         assert r1 == r2
-        assert cache.stats.hits == 1
+        assert (cache.stats.stores, cache.stats.hits) == (1, 1)
 
 
 class TestResultRoundtrip:

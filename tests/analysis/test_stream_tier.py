@@ -177,26 +177,18 @@ class TestJobTier:
         # default job keys exactly as it did while Job carried a tier
         # field, so cached machine results survived its removal.  A
         # deliberate re-key (a CACHE_FORMAT_VERSION bump, a new config
-        # field) updates these literals.
+        # field) updates this literal.
         monkeypatch.setattr(runner, "code_version", lambda: "0" * 64)
         plain = Job(_wl(), tiny_machine(), "lp", num_threads=2)
-        sampled = Job(
-            _wl(), tiny_machine(), "lp", num_threads=2, obs_interval=500.0
-        )
         assert plain.cache_key() == (
             "95fe36051e78f06baaa1f90306a4c0060a2968ef07eb82928e246eede9e8f55b"
-        )
-        assert sampled.cache_key() == (
-            "b25ef188273b977be3001e7e9e52fdb61b398faa4cbc9ce7ec2ef54eaa47b0ae"
         )
 
     def test_stream_job_runs_through_the_engine(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        job = Job(
-            _wl(), tiny_machine(), "lp", num_threads=2, obs_interval=500.0,
-        )
+        job = Job(_wl(), tiny_machine(), "lp", num_threads=2)
         (first,) = run_jobs([job], n_jobs=1, cache=cache)
-        assert first.intervals is not None
+        assert first.intervals is None
         (second,) = run_jobs([job], n_jobs=1, cache=cache)
         assert cache.stats.hits == 1
         assert isinstance(second, ExperimentResult)

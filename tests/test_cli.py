@@ -1,9 +1,63 @@
 """Tests for the command-line interface."""
 
+import argparse
+import json
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.sim.model import model_names
+
+#: Every subcommand's flags and defaults, as :func:`parser_surface`
+#: describes them.  Regenerate after a deliberate surface change with
+#: ``PYTHONPATH=src python -c "from tests.test_cli import
+#: write_surface; write_surface()"`` and review the diff.
+SURFACE_GOLDEN = os.path.join(
+    os.path.dirname(__file__), "golden", "cli_surface.json"
+)
+
+
+def parser_surface():
+    """``{subcommand: {flag: properties}}`` for the whole command tree.
+
+    Each action is keyed by its option strings (its dest for a
+    positional) and described by everything that changes how a command
+    line parses: dest, action kind, default, choices, nargs, required,
+    const and type name.  Help text and flag order are left out.
+    """
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    surface = {}
+    for name, sub in commands.choices.items():
+        flags = {}
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            key = "/".join(action.option_strings) or action.dest
+            flags[key] = {
+                "dest": action.dest,
+                "action": type(action).__name__,
+                "default": action.default,
+                "choices": (
+                    None if action.choices is None else list(action.choices)
+                ),
+                "nargs": action.nargs,
+                "required": action.required,
+                "const": action.const,
+                "type": getattr(action.type, "__name__", None),
+            }
+        surface[name] = flags
+    return surface
+
+
+def write_surface(path=SURFACE_GOLDEN):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(parser_surface(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 class TestParser:
@@ -41,13 +95,16 @@ class TestParser:
         assert args.cache_dir == "/tmp/c"
 
     def test_obs_interval_defaults_off(self):
+        # Sampling is a single-run feature: `run` takes the flag (off
+        # by default) and the batch commands reject it.
+        assert build_parser().parse_args(["run", "tmm"]).obs_interval is None
         for argv in (
-            ["run", "tmm"],
             ["compare", "tmm"],
             ["sweep", "checksum", "tmm"],
             ["reproduce"],
         ):
-            assert build_parser().parse_args(argv).obs_interval is None
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + ["--obs-interval", "500"])
 
     def test_trace_defaults(self):
         args = build_parser().parse_args(["trace", "tmm"])
@@ -61,6 +118,15 @@ class TestParser:
         args = build_parser().parse_args(["report", "a.json", "b.json"])
         assert args.reports == ["a.json", "b.json"]
         assert args.md is False
+
+
+class TestParserSurface:
+    def test_matches_golden(self):
+        # Every subcommand keeps its flags and defaults; a refactor of
+        # the parser builders must leave this document unchanged.
+        with open(SURFACE_GOLDEN) as fh:
+            golden = json.load(fh)
+        assert json.loads(json.dumps(parser_surface())) == golden
 
 
 class TestCommands:
@@ -174,10 +240,23 @@ class TestObservability:
         header = out.read_text().splitlines()[0]
         assert header.startswith("bucket,start_cycle,")
 
-    def test_obs_out_without_interval_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
+    def test_obs_out_without_interval_rejected(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # A usage error: refused before anything is simulated, with
+        # argparse's exit status.
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before rejecting the flags")
+
+        monkeypatch.setattr("repro.cli.run_variant", no_run)
+        with pytest.raises(SystemExit) as exc:
             main(["run", "tmm", *self.TINY,
                   "--obs-out", str(tmp_path / "x.json")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "exec_cycles" not in captured.out
+        assert "--obs-out requires --obs-interval" in captured.err
+        assert not (tmp_path / "x.json").exists()
 
     def test_trace_writes_chrome_trace(self, capsys, tmp_path):
         out = tmp_path / "lp.trace.json"

@@ -75,11 +75,10 @@ class TestMultiThreadedVerdictsAgree:
     def test_ep_sound_under_both_models(self, timing):
         report = check_variant(
             small_tmm(),
-            tiny_machine(),
+            tiny_machine().with_timing(timing),
             "ep",
             [CrashPlan(at_flush=n) for n in (2, 5, 8)],
             PLAN,
-            timing=timing,
         )
         assert report.ok
 
@@ -90,11 +89,10 @@ class TestMultiThreadedVerdictsAgree:
         # so a sparse grid could legitimately miss it for one model.
         report = check_variant(
             small_tmm(),
-            tiny_machine(),
+            tiny_machine().with_timing(timing),
             "ep_nofence",
             [CrashPlan(at_flush=n) for n in range(1, 21)],
             PLAN,
-            timing=timing,
         )
         assert not report.ok
         assert report.counterexamples
