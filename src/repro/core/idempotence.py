@@ -17,8 +17,9 @@ regenerates them identically.
 Applied to the Table V kernels this reproduces exactly the recovery
 split the workloads implement:
 
-* conv2d, fft, cholesky — idempotent regions, recompute-in-place
-  recovery;
+* conv2d, fft, cholesky — idempotent regions: fft recomputes in place,
+  and conv2d and cholesky redo their declared writes through the
+  scheme layer (:mod:`repro.workloads.regional`);
 * tmm, gauss — regions overwrite live-ins (c accumulates, elimination
   updates rows in place), so recovery needs the reverse-frontier /
   replay machinery.

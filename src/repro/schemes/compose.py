@@ -62,16 +62,22 @@ class RegionDecl:
         return seen
 
 
+def timed_load(addr: int):
+    """One timed load; ``yield from`` returns the loaded value."""
+    value = yield Load(addr)
+    return value
+
+
 class RegionContext:
-    """Tracked data access inside one region body.
+    """Tracked stores inside one region body.
 
     Bodies route every durable store through :meth:`store` (``yield
     from ctx.store(addr, v)``) so the active scheme can interleave its
     protocol (checksum updates, deferral into a WAL transaction) and
     the runner can verify the body produced exactly its declared
-    write-set.  Loads (:meth:`load`) are ordinary timed loads — bodies
-    may read anything *except* their own in-region writes, which a
-    deferring scheme (WAL) has not architecturally performed yet.
+    write-set.  Loads are ordinary timed loads (:func:`timed_load`) —
+    bodies may read anything *except* their own in-region writes, which
+    a deferring scheme (WAL) has not architecturally performed yet.
     """
 
     def __init__(self, defer: bool = False) -> None:
@@ -84,11 +90,6 @@ class RegionContext:
         if self.defer:
             return ()
         return (Store(int(addr), float(value)),)
-
-    def load(self, addr: int):
-        """Timed element load; ``yield from`` returns the value."""
-        value = yield Load(int(addr))
-        return value
 
 
 #: write-behind journal header slots (share one line, one flush each)

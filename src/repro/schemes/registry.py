@@ -37,9 +37,10 @@ from repro.core.eager import (
     durable_store,
     persist_addrs,
     persist_region,
+    writeback_addrs,
 )
 from repro.core.region import RegionChecksum
-from repro.schemes.compose import RegionContext, RegionDecl
+from repro.schemes.compose import RegionContext, RegionDecl, timed_load
 
 #: Scheme names (Table IV variants plus this repo's extensions).
 SCHEME_BASE = "base"
@@ -83,21 +84,28 @@ class PersistencyScheme(ABC):
         ]
 
     def forward_thread(self, host, tid: int):
+        """The one region loop every scheme runs: open the region
+        (provenance frame, mark), run its body under the scheme's
+        context, check the declared writes, close it in the scheme's
+        way, pop the frame, then run the scheme's post-region ops."""
         for decl in host.plans[tid]:
             yield from host.tag(decl.label)
-            yield RegionMark(
-                f"{host.spec.name}:{self.name}:t{tid}:r{decl.seq}"
-            )
+            yield RegionMark(f"{host.spec.name}:{self.name}:{decl.label}")
             ctx = self._context(host)
             yield from host.region_body(tid, decl, ctx)
             self._check_writes(host, tid, decl, ctx)
             yield from self._end_region(host, tid, decl, ctx)
             yield from host.tag()
+            yield from self._after_region(host, tid, decl)
 
     def _context(self, host) -> RegionContext:
         return RegionContext()
 
     def _end_region(self, host, tid: int, decl: RegionDecl, ctx):
+        return
+        yield  # pragma: no cover - empty generator idiom
+
+    def _after_region(self, host, tid: int, decl: RegionDecl):
         return
         yield  # pragma: no cover - empty generator idiom
 
@@ -207,11 +215,15 @@ class LazyScheme(PersistencyScheme):
 
     def _frontier(self, host, tid):
         """Forward scan: first region whose slot is uncommitted or
-        whose checksum, recomputed over the persisted values of its
-        declared addresses, mismatches.  Redo-from-first-mismatch is
-        exact even when later regions overwrite earlier addresses: the
-        final value of every address is restored by its last declared
-        writer, which is at or after the first mismatching region."""
+        whose checksum, recomputed over the current values of its
+        declared addresses, mismatches; recovery redoes from there.
+        That is not exact when a later region overwrites an earlier
+        region's address: the earlier checksum is then recomputed over
+        the later value, a ``modular`` sum can collide on it
+        (small-integer doubles differ in few high-word bits), and the
+        earlier region passes without being redone (ROADMAP item 1).
+        Workloads that write every address once never check a later
+        region's value."""
         state = host.scheme_state
         engine = state.lp.engine
         for decl in host.plans[tid]:
@@ -219,22 +231,15 @@ class LazyScheme(PersistencyScheme):
                 return decl.seq
             ck = RegionChecksum(engine)
             for addr, _ in decl.writes:
-                value = yield from self._timed_load(addr)
+                value = yield from timed_load(addr)
                 ck.update_silent(value)
             yield Compute(len(decl.writes) * engine.flops_per_update)
-            stored = yield from self._timed_load(
+            stored = yield from timed_load(
                 state.lp.table.slot_addr(tid, decl.seq)
             )
             if float(ck.value) != stored:
                 return decl.seq
         return len(host.plans[tid])
-
-    @staticmethod
-    def _timed_load(addr: int):
-        from repro.sim.isa import Load
-
-        value = yield Load(addr)
-        return value
 
     def _redo_extra(self, host, tid, decl):
         """Recommit the redone region's checksum, eagerly."""
@@ -250,14 +255,23 @@ class LazyScheme(PersistencyScheme):
 
 class EagerScheme(PersistencyScheme):
     """Eager Persistency: flush+fence every region, then a durable
-    per-thread progress marker."""
+    per-thread progress marker.
+
+    A workload whose later regions re-read its output declares
+    ``rereads_output``; its data lines are then written back with clwb,
+    which keeps them cached, instead of clflushopt (see
+    :func:`repro.core.eager.writeback_addrs`)."""
 
     name = SCHEME_EP
     summary = "clflushopt+sfence per region, durable progress marker"
     sound = True
 
     def _end_region(self, host, tid, decl, ctx):
-        yield from persist_region(decl.addrs)
+        if host.spec.rereads_output:
+            yield from writeback_addrs(decl.addrs)
+        else:
+            yield from persist_addrs(decl.addrs)
+        yield Fence()
         marker = host.scheme_state.markers[tid]
         yield Store(marker.base, float(decl.seq))
         yield Flush(marker.base)
@@ -322,24 +336,18 @@ class WriteBehindScheme(PersistencyScheme):
     #: Broken subclass drops the journal (and the data/marker fence).
     journal = True
 
-    def forward_thread(self, host, tid: int):
-        pending: Dict[int, float] = {}
+    def _after_region(self, host, tid, decl):
+        """Drain the batch this region completes.  Its coalesced dirty
+        set is the batch's declared writes, last writer winning, which
+        the region loop has checked the bodies performed."""
         plan = host.plans[tid]
         batch = host.scheme_state.wb_batch
-        for index, decl in enumerate(plan):
-            yield from host.tag(decl.label)
-            yield RegionMark(
-                f"{host.spec.name}:{self.name}:t{tid}:r{decl.seq}"
-            )
-            ctx = self._context(host)
-            yield from host.region_body(tid, decl, ctx)
-            self._check_writes(host, tid, decl, ctx)
-            for addr, value in ctx.writes:
-                pending[addr] = value
-            yield from host.tag()
-            if pending and ((index + 1) % batch == 0 or index + 1 == len(plan)):
-                yield from self._drain(host, tid, decl.seq, pending)
-                pending = {}
+        if (decl.seq + 1) % batch and decl.seq + 1 != len(plan):
+            return
+        pending: Dict[int, float] = {}
+        for done in plan[decl.seq - decl.seq % batch : decl.seq + 1]:
+            pending.update(done.writes)
+        yield from self._drain(host, tid, decl.seq, pending)
 
     def _drain(self, host, tid: int, seq: int, pending: Dict[int, float]):
         """Persist one coalesced batch and publish its marker."""
@@ -391,12 +399,12 @@ class WriteBehindScheme(PersistencyScheme):
             restored: List[int] = []
             for i in range(count):
                 a_addr, v_addr = journal.entry_addrs(i)
-                target = yield from LazyScheme._timed_load(a_addr)
-                value = yield from LazyScheme._timed_load(v_addr)
+                target = yield from timed_load(a_addr)
+                value = yield from timed_load(v_addr)
                 yield Store(int(target), value)
                 restored.append(int(target))
             yield from persist_region(restored)
-            seq = yield from LazyScheme._timed_load(journal.seq_addr)
+            seq = yield from timed_load(journal.seq_addr)
             yield Store(marker.base, seq)
             yield Flush(marker.base)
             yield Store(journal.status_addr, 0.0)

@@ -3,55 +3,55 @@ factorization"; the paper ran this kernel to completion).
 
 Left-looking column Cholesky, out-of-place: the factor ``L`` is built
 column by column from the pristine SPD input ``P`` and the already
-final columns of ``L`` itself.  Because each column is written exactly
-once and the input is never overwritten, a column block is
-**idempotent** given its predecessors — recovery needs no reverse
-frontier: it walks column blocks in ascending order and recomputes any
-block whose checksum does not match (the blocks after it that *do*
-match are already correct, since the crashed run computed them from
-correct architectural state).
+final columns of ``L`` itself.  Each element of ``L`` is written
+exactly once and the input is never overwritten, so every region is
+**idempotent** and its write-set is read off
+:meth:`BoundCholesky.reference`.  Every scheme and its blind-redo
+recovery come from the scheme layer (:mod:`repro.workloads.regional`).
 
 Parallelism: threads partition the rows below the diagonal of each
 column; a Barrier after the diagonal element and one after each column
-enforce the left-looking dependences.  LP regions are
-(column_block, thread), each checksumming the L values that thread
-wrote in those columns.
+enforce the left-looking dependences.  Regions are (column_block,
+thread), each holding the L values that thread writes in those
+columns.  Other threads read the diagonal element inside the region
+that writes it, so the deferring ``wal`` scheme does not apply.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Generator, List, Optional
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.sim.isa import Barrier, Compute, Fence, Flush, Load, Op, RegionMark, Store
-from repro.sim.machine import Machine, ThreadGen
-from repro.core.eager import persist_region, writeback_addrs
-from repro.core.lazy import LPRuntime
-from repro.core.region import RegionChecksum
-from repro.workloads.arrays import PMatrix
 from repro.schemes import (
-    SCHEME_BASE as VARIANT_BASE,
-    SCHEME_EP as VARIANT_EP,
-    SCHEME_LP as VARIANT_LP,
+    SCHEME_BASE,
+    SCHEME_EP,
+    SCHEME_LP,
+    SCHEME_WRITE_BEHIND,
+    RegionContext,
+    RegionDecl,
 )
-from repro.workloads.base import (
-    BoundWorkload,
-    Workload,
-    integer_matrix,
-)
+from repro.sim.isa import Barrier, Compute
+from repro.sim.machine import Machine, ThreadGen
+from repro.workloads.arrays import PMatrix
+from repro.workloads.base import integer_matrix
+from repro.workloads.regional import BoundRegionWorkload, RegionWorkload
 from repro.workloads.registry import register
 
 
 @register
-class Cholesky(Workload):
+class Cholesky(RegionWorkload):
     """P = L @ L.T with L lower-triangular; computes L."""
 
     name = "cholesky"
-    variants = (VARIANT_BASE, VARIANT_LP, VARIANT_EP)
+    variants = (SCHEME_BASE, SCHEME_LP, SCHEME_EP, SCHEME_WRITE_BEHIND)
+    #: Control flow never depends on loaded values.
+    stream_safe = True
+    #: Later columns re-read every earlier column.
+    rereads_output = True
 
     def __init__(
         self, n: int = 48, col_block: int = 8, seed: int = 17
@@ -73,31 +73,17 @@ class Cholesky(Workload):
         return BoundCholesky(self, machine, num_threads, engine, create)
 
 
-class BoundCholesky(BoundWorkload):
-    def __init__(self, spec, machine, num_threads, engine, create):
-        super().__init__(machine, num_threads, engine)
-        self.spec = spec
-        n = spec.n
-        self.pristine = PMatrix(machine, "chol.p", n, n, create=create)
-        self.l = PMatrix(machine, "chol.l", n, n, create=create)
-        self.lp = LPRuntime(
-            machine,
-            "chol.cktab",
-            dims=(spec.num_blocks, num_threads),
-            engine=engine,
-            create=create,
-        )
-        self.markers = [
-            machine.scalar(f"chol.progress.{t}", -1.0)
-            if create
-            else machine.region(f"chol.progress.{t}")
-            for t in range(num_threads)
-        ]
+class BoundCholesky(BoundRegionWorkload):
+    def _bind_data(self, create: bool) -> None:
+        n = self.spec.n
+        self.pristine = PMatrix(self.machine, "chol.p", n, n, create=create)
+        self.l = PMatrix(self.machine, "chol.l", n, n, create=create)
         if create:
-            rng = random.Random(spec.seed)
+            rng = random.Random(self.spec.seed)
             m = integer_matrix(rng, n, n, span=3)
             spd = m @ m.T + np.diag([float(4 * n)] * n)
             self.pristine.fill(spd)
+        self.expected = self.reference()
 
     def my_rows(self, tid: int, j: int) -> List[int]:
         """Rows strictly below the diagonal of column j owned by tid."""
@@ -109,79 +95,55 @@ class BoundCholesky(BoundWorkload):
         """Thread that computes column j's diagonal element."""
         return j % self.num_threads
 
-    # ------------------------------------------------------------------
-    # normal execution
-    # ------------------------------------------------------------------
-
-    def threads(self, variant: str) -> List[ThreadGen]:
-        self.spec.check_variant(variant)
-        return [
-            self._worker(variant, tid, start_block=0)
-            for tid in range(self.num_threads)
-        ]
-
-    def _worker(self, variant: str, tid: int, start_block: int) -> ThreadGen:
-        spec = self.spec
-        for block in range(start_block, spec.num_blocks):
-            yield from self.tag(f"block{block}")
-            yield RegionMark(f"chol:{variant}:b{block}:t{tid}")
-            yield from self._block(variant, tid, block)
-            yield from self.tag()
-
-    def _block(
-        self, variant: str, tid: int, block: int
-    ) -> Generator[Op, Optional[float], None]:
-        spec = self.spec
-        j0 = block * spec.col_block
-        ck: Optional[RegionChecksum] = None
-        if variant == VARIANT_LP:
-            ck = self.lp.begin_region()
-
-        for j in range(j0, j0 + spec.col_block):
+    def cells(self, block: int, tid: int) -> Iterator[Tuple[int, int]]:
+        """(i, j) of the L elements ``tid`` writes in a column block,
+        in program order."""
+        j0 = block * self.spec.col_block
+        for j in range(j0, j0 + self.spec.col_block):
             if self.diag_owner(j) == tid:
-                d = yield from self._diagonal(j)
-                if ck is not None:
-                    yield from ck.update(d)
-            yield Barrier()  # everyone needs L[j][j]
-
+                yield j, j
             for i in self.my_rows(tid, j):
-                v = yield from self._offdiag(i, j)
-                if ck is not None:
-                    yield from ck.update(v)
+                yield i, j
+
+    def plan(self, tid: int) -> List[RegionDecl]:
+        decls = []
+        for block in range(self.spec.num_blocks):
+            writes = tuple(
+                (self.l.addr(i, j), float(self.expected[i, j]))
+                for i, j in self.cells(block, tid)
+            )
+            if not writes:
+                # A thread that owns nothing in a block owns nothing in
+                # any later one; it stops, and the later barriers wait
+                # only for the threads still running.
+                break
+            decls.append(
+                RegionDecl(seq=block, label=f"b{block}:t{tid}", writes=writes)
+            )
+        return decls
+
+    def region_body(
+        self, tid: int, decl: RegionDecl, ctx: RegionContext
+    ) -> ThreadGen:
+        j0 = decl.seq * self.spec.col_block
+        for j in range(j0, j0 + self.spec.col_block):
+            if self.diag_owner(j) == tid:
+                yield from self._diagonal(j, ctx)
+            yield Barrier()  # everyone needs L[j][j]
+            for i in self.my_rows(tid, j):
+                yield from self._offdiag(i, j, ctx)
             yield Barrier()  # column j final before j+1 starts
 
-        if variant == VARIANT_LP:
-            assert ck is not None
-            yield from self.lp.commit(ck, block, tid)
-        elif variant == VARIANT_EP:
-            # persist the finished region: clwb (later columns re-read
-            # every earlier column, see core.eager.writeback_addrs) at
-            # the LP-region granularity Table IV prescribes, fence, and
-            # durably bump the progress marker.
-            yield from writeback_addrs(
-                [
-                    self.l.addr(i, j)
-                    for i, j in self._region_value_order(block, tid)
-                ]
-            )
-            yield Fence()
-            marker = self.markers[tid]
-            yield Store(marker.base, float(block))
-            yield Flush(marker.base)
-            yield Fence()
-
-    def _diagonal(self, j: int) -> Generator[Op, Optional[float], float]:
+    def _diagonal(self, j: int, ctx: RegionContext) -> ThreadGen:
         """L[j][j] = sqrt(P[j][j] - sum_k L[j][k]^2)."""
         s = yield from self.pristine.read(j, j)
         for k in range(j):
             v = yield from self.l.read(j, k)
             s -= v * v
         yield Compute(2 * j + 2)
-        d = math.sqrt(s)
-        yield from self.l.write(j, j, d)
-        return d
+        yield from ctx.store(self.l.addr(j, j), math.sqrt(s))
 
-    def _offdiag(self, i: int, j: int) -> Generator[Op, Optional[float], float]:
+    def _offdiag(self, i: int, j: int, ctx: RegionContext) -> ThreadGen:
         """L[i][j] = (P[i][j] - sum_k L[i][k] L[j][k]) / L[j][j]."""
         s = yield from self.pristine.read(i, j)
         for k in range(j):
@@ -189,76 +151,8 @@ class BoundCholesky(BoundWorkload):
             b = yield from self.l.read(j, k)
             s -= a * b
         d = yield from self.l.read(j, j)
-        v = s / d
         yield Compute(2 * j + 2)
-        yield from self.l.write(i, j, v)
-        return v
-
-    # ------------------------------------------------------------------
-    # recovery: ascending over column blocks, idempotent repair
-    # ------------------------------------------------------------------
-
-    def recovery_threads(self) -> List[ThreadGen]:
-        """Single-threaded recovery (a column block's repair needs all
-        rows, and blocks must go in ascending order)."""
-        return [self._recover()]
-
-    def _recover(self) -> ThreadGen:
-        spec = self.spec
-        yield RegionMark("chol:recover")
-        for block in range(spec.num_blocks):
-            consistent = True
-            for tid in range(self.num_threads):
-                matches = yield from self._region_matches(block, tid)
-                if not matches:
-                    consistent = False
-                    break
-            if consistent:
-                continue
-            yield RegionMark(f"chol:recover:repair:b{block}")
-            yield from self._repair_block(block)
-
-    def _region_value_order(self, block: int, tid: int):
-        """(i, j) pairs in checksum-update order for (block, tid)."""
-        spec = self.spec
-        j0 = block * spec.col_block
-        for j in range(j0, j0 + spec.col_block):
-            if self.diag_owner(j) == tid:
-                yield j, j
-            for i in self.my_rows(tid, j):
-                yield i, j
-
-    def _region_matches(
-        self, block: int, tid: int
-    ) -> Generator[Op, Optional[float], bool]:
-        if not self.lp.region_committed(block, tid):
-            return False
-        ck = RegionChecksum(self.lp.engine)
-        for i, j in self._region_value_order(block, tid):
-            v = yield from self.l.read(i, j)
-            ck.update_silent(v)
-            yield Compute(self.lp.engine.flops_per_update)
-        stored = yield Load(self.lp.table.slot_addr(block, tid))
-        return float(ck.value) == stored
-
-    def _repair_block(self, block: int) -> Generator[Op, Optional[float], None]:
-        """Recompute one column block from P and the final columns
-        before it, persist eagerly, recommit all its checksums."""
-        spec = self.spec
-        j0 = block * spec.col_block
-        values = {}
-        for j in range(j0, j0 + spec.col_block):
-            d = yield from self._diagonal(j)
-            values[(j, j)] = d
-            for i in range(j + 1, spec.n):
-                values[(i, j)] = (yield from self._offdiag(i, j))
-        yield from persist_region([self.l.addr(i, j) for (i, j) in values])
-        for tid in range(self.num_threads):
-            ck = RegionChecksum(self.lp.engine)
-            for i, j in self._region_value_order(block, tid):
-                ck.update_silent(values[(i, j)])
-                yield Compute(self.lp.engine.flops_per_update)
-            yield from self.lp.table.commit_eager(ck.value, block, tid)
+        yield from ctx.store(self.l.addr(i, j), s / d)
 
     # ------------------------------------------------------------------
     # verification
@@ -268,16 +162,17 @@ class BoundCholesky(BoundWorkload):
         p = self.pristine.to_numpy()
         n = self.spec.n
         low = np.zeros((n, n))
+        # same operation order as the kernel, per element; the rows
+        # below the diagonal of one column are done together
         for j in range(n):
             s = p[j, j]
             for k in range(j):
                 s -= low[j, k] * low[j, k]
             low[j, j] = math.sqrt(s)
-            for i in range(j + 1, n):
-                s = p[i, j]
-                for k in range(j):
-                    s -= low[i, k] * low[j, k]
-                low[i, j] = s / low[j, j]
+            col = p[j + 1 :, j].copy()
+            for k in range(j):
+                col -= low[j + 1 :, k] * low[j, k]
+            low[j + 1 :, j] = col / low[j, j]
         return low
 
     def output(self, persistent: bool = False) -> np.ndarray:

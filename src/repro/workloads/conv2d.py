@@ -1,13 +1,16 @@
 """2-D convolution (Table V: "1k-square input matrix 2D convolution").
 
-Out-of-place convolution of an image with a small stencil.  LP regions
-are row blocks of the output, keyed (row_block, thread); because the
-kernel never overwrites its input, every region is **idempotent**
-(section III-E's trivial-recovery special case): recovery simply
-recomputes each region whose checksum does not match, in any order,
-with no restart frontier.
+Out-of-place convolution of an image with a small stencil.  The kernel
+never overwrites its input and writes each output element exactly
+once, so every region is **idempotent** (section III-E's
+trivial-recovery special case) and its write-set is read off
+:meth:`BoundConv2D.reference`.  Regions are single output rows, the
+kernel's Eager Persistency persist unit; every scheme and its
+blind-redo recovery come from the scheme layer
+(:mod:`repro.workloads.regional`).
 
-Work partition: thread t owns row blocks with ``block % P == t``.
+Work partition: thread t owns the rows of the row blocks with
+``block % P == t``, top to bottom.
 """
 
 from __future__ import annotations
@@ -18,31 +21,22 @@ from typing import Generator, List, Optional
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.sim.isa import Compute, Fence, Flush, Load, Op, RegionMark, Store
+from repro.schemes import RegionContext, RegionDecl
+from repro.sim.isa import Compute, Op
 from repro.sim.machine import Machine, ThreadGen
-from repro.core.eager import persist_addrs, persist_region
-from repro.core.lazy import LPRuntime
-from repro.core.region import RegionChecksum
 from repro.workloads.arrays import PMatrix
-from repro.schemes import (
-    SCHEME_BASE as VARIANT_BASE,
-    SCHEME_EP as VARIANT_EP,
-    SCHEME_LP as VARIANT_LP,
-)
-from repro.workloads.base import (
-    BoundWorkload,
-    Workload,
-    integer_matrix,
-)
+from repro.workloads.base import integer_matrix
+from repro.workloads.regional import BoundRegionWorkload, RegionWorkload
 from repro.workloads.registry import register
 
 
 @register
-class Conv2D(Workload):
+class Conv2D(RegionWorkload):
     """out = image (*) kernel, valid region, out-of-place."""
 
     name = "conv2d"
-    variants = (VARIANT_BASE, VARIANT_LP, VARIANT_EP)
+    #: Control flow never depends on loaded values.
+    stream_safe = True
 
     def __init__(
         self,
@@ -76,85 +70,47 @@ class Conv2D(Workload):
         return BoundConv2D(self, machine, num_threads, engine, create)
 
 
-class BoundConv2D(BoundWorkload):
-    def __init__(self, spec, machine, num_threads, engine, create):
-        super().__init__(machine, num_threads, engine)
-        self.spec = spec
+class BoundConv2D(BoundRegionWorkload):
+    def _bind_data(self, create: bool) -> None:
+        spec = self.spec
         n, k = spec.n, spec.ksize
-        self.image = PMatrix(machine, "conv.image", n, n, create=create)
-        self.kernel = PMatrix(machine, "conv.kernel", k, k, create=create)
+        self.image = PMatrix(self.machine, "conv.image", n, n, create=create)
+        self.kernel = PMatrix(self.machine, "conv.kernel", k, k, create=create)
         self.out = PMatrix(
-            machine, "conv.out", spec.out_n, spec.out_n, create=create
+            self.machine, "conv.out", spec.out_n, spec.out_n, create=create
         )
-        self.lp = LPRuntime(
-            machine,
-            "conv.cktab",
-            dims=(spec.num_blocks, num_threads),
-            engine=engine,
-            create=create,
-        )
-        self.markers = [
-            machine.scalar(f"conv.progress.{t}", -1.0)
-            if create
-            else machine.region(f"conv.progress.{t}")
-            for t in range(num_threads)
-        ]
         if create:
             rng = random.Random(spec.seed)
             self.image.fill(integer_matrix(rng, n, n))
             self.kernel.fill(integer_matrix(rng, k, k, span=2))
+        self.expected = self.reference()
 
-    def my_blocks(self, tid: int) -> List[int]:
-        """Output row blocks owned by thread ``tid``."""
-        return [
-            b for b in range(self.spec.num_blocks) if b % self.num_threads == tid
-        ]
+    def row_of(self, tid: int, seq: int) -> int:
+        """Output row of thread ``tid``'s ``seq``-th region."""
+        rb = self.spec.row_block
+        block = tid + (seq // rb) * self.num_threads
+        return block * rb + seq % rb
 
-    def owner_of(self, block: int) -> int:
-        """Owning thread of a row block."""
-        return block % self.num_threads
-
-    # ------------------------------------------------------------------
-    # normal execution
-    # ------------------------------------------------------------------
-
-    def threads(self, variant: str) -> List[ThreadGen]:
-        self.spec.check_variant(variant)
-        return [self._worker(variant, tid) for tid in range(self.num_threads)]
-
-    def _worker(self, variant: str, tid: int) -> ThreadGen:
-        for block in self.my_blocks(tid):
-            yield from self.tag(f"block{block}")
-            yield RegionMark(f"conv:{variant}:block{block}")
-            yield from self._region(variant, tid, block)
-            yield from self.tag()
-
-    def _region(
-        self, variant: str, tid: int, block: int
-    ) -> Generator[Op, Optional[float], None]:
+    def plan(self, tid: int) -> List[RegionDecl]:
         spec = self.spec
-        r0 = block * spec.row_block
-        ck: Optional[RegionChecksum] = None
-        if variant == VARIANT_LP:
-            ck = self.lp.begin_region()
+        owned = len(range(tid, spec.num_blocks, self.num_threads))
+        decls = []
+        for seq in range(owned * spec.row_block):
+            i = self.row_of(tid, seq)
+            writes = tuple(
+                (self.out.addr(i, j), float(value))
+                for j, value in enumerate(self.expected[i])
+            )
+            decls.append(RegionDecl(seq=seq, label=f"row{i}", writes=writes))
+        return decls
 
-        for i in range(r0, r0 + spec.row_block):
-            for j in range(spec.out_n):
-                s = yield from self._pixel(i, j)
-                yield from self.out.write(i, j, s)
-                if ck is not None:
-                    yield from ck.update(s)
-            if variant == VARIANT_EP:
-                yield from persist_addrs(self.out.row_addrs(i, 0, spec.out_n))
-                yield Fence()
-                marker = self.markers[tid]
-                yield Store(marker.base, float(i))
-                yield Flush(marker.base)
-                yield Fence()
-
-        if variant == VARIANT_LP:
-            assert ck is not None
-            yield from self.lp.commit(ck, block, tid)
+    def region_body(
+        self, tid: int, decl: RegionDecl, ctx: RegionContext
+    ) -> ThreadGen:
+        i = self.row_of(tid, decl.seq)
+        for j in range(self.spec.out_n):
+            s = yield from self._pixel(i, j)
+            yield from ctx.store(self.out.addr(i, j), s)
 
     def _pixel(self, i: int, j: int) -> Generator[Op, Optional[float], float]:
         spec = self.spec
@@ -168,70 +124,19 @@ class BoundConv2D(BoundWorkload):
         return s
 
     # ------------------------------------------------------------------
-    # recovery: idempotent regions, no frontier
-    # ------------------------------------------------------------------
-
-    def recovery_threads(self) -> List[ThreadGen]:
-        return [self._recover(tid) for tid in range(self.num_threads)]
-
-    def _recover(self, tid: int) -> ThreadGen:
-        for block in self.my_blocks(tid):
-            matches = yield from self._block_matches(block)
-            if matches:
-                continue
-            yield RegionMark(f"conv:recover:block{block}")
-            yield from self._repair_block(tid, block)
-
-    def _block_matches(self, block: int) -> Generator[Op, Optional[float], bool]:
-        tid = self.owner_of(block)
-        if not self.lp.region_committed(block, tid):
-            return False
-        spec = self.spec
-        ck = RegionChecksum(self.lp.engine)
-        r0 = block * spec.row_block
-        for i in range(r0, r0 + spec.row_block):
-            for j in range(spec.out_n):
-                v = yield from self.out.read(i, j)
-                ck.update_silent(v)
-                yield Compute(self.lp.engine.flops_per_update)
-        stored = yield Load(self.lp.table.slot_addr(block, tid))
-        return float(ck.value) == stored
-
-    def _repair_block(
-        self, tid: int, block: int
-    ) -> Generator[Op, Optional[float], None]:
-        """Idempotent repair: re-run the region with Eager Persistency."""
-        spec = self.spec
-        r0 = block * spec.row_block
-        ck = RegionChecksum(self.lp.engine)
-        addrs: List[int] = []
-        for i in range(r0, r0 + spec.row_block):
-            for j in range(spec.out_n):
-                s = yield from self._pixel(i, j)
-                yield from self.out.write(i, j, s)
-                ck.update_silent(s)
-                yield Compute(self.lp.engine.flops_per_update)
-                addrs.append(self.out.addr(i, j))
-        yield from persist_region(addrs)
-        yield from self.lp.table.commit_eager(ck.value, block, tid)
-
-    # ------------------------------------------------------------------
     # verification
     # ------------------------------------------------------------------
 
     def reference(self) -> np.ndarray:
         img = self.image.to_numpy()
         ker = self.kernel.to_numpy()
-        spec = self.spec
-        out = np.zeros((spec.out_n, spec.out_n))
-        # same accumulation order as the kernel: di outer, dj inner
-        for i in range(spec.out_n):
-            for j in range(spec.out_n):
-                s = 0.0
-                for di in range(spec.ksize):
-                    for dj in range(spec.ksize):
-                        s += img[i + di, j + dj] * ker[di, dj]
-                out[i, j] = s
+        m = self.spec.out_n
+        out = np.zeros((m, m))
+        # same accumulation order as the kernel, per element: di
+        # outer, dj inner
+        for di in range(self.spec.ksize):
+            for dj in range(self.spec.ksize):
+                out += img[di : di + m, dj : dj + m] * ker[di, dj]
         return out
 
     def output(self, persistent: bool = False) -> np.ndarray:

@@ -13,11 +13,12 @@ loads, computes, tracked stores).  The persistency-scheme layer
 * uniform scheme metadata allocation (checksum table, markers, WAL
   logs, write-behind journals) across create/rebind.
 
-Contrast with the five hand-rolled kernels (tmm, cholesky, ...): those
-interleave their persist protocols with kernel-specific loop structure
-and keep their native implementations — this base class is the path
-for new workloads, starting with the persistent-storage family
-(:mod:`repro.workloads.storage`).
+Two paper kernels are built this way, conv2d and cholesky: each writes
+every output address exactly once, so its plan is read off its numpy
+reference.  So is the persistent-storage family
+(:mod:`repro.workloads.storage`).  tmm, gauss and fft still interleave
+their persist protocols with their loops by hand, because they rewrite
+addresses (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -54,8 +55,13 @@ class RegionWorkload(Workload):
     )
     broken_variants = (SCHEME_WB_NOJOURNAL,)
     #: Region bodies may be value-dependent (hashmap probe loops), so
-    #: region workloads stay off the recorded op-stream cache.
+    #: region workloads stay off the recorded op-stream cache unless
+    #: they override this.
     stream_safe = False
+    #: Later regions re-read this workload's output: Eager Persistency
+    #: then writes data lines back with clwb instead of clflushopt
+    #: (:class:`repro.schemes.registry.EagerScheme`).
+    rereads_output = False
     #: Regions per write-behind batch (subclasses expose it as a
     #: constructor parameter).
     wb_batch: int = 4

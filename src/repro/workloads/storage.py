@@ -22,9 +22,9 @@ per-thread recovery frontiers require.
   capacity open-addressed (linear-probe) table; updates rewrite the
   same slots, so write-behind's per-batch line coalescing beats EP's
   per-region flushes.  The probe loop is value-dependent — which is
-  why region workloads are ``stream_safe = False`` and recovery redoes
-  *declared* writes instead of re-executing bodies (a probe over a
-  torn image could place a key in the wrong slot).
+  why the storage workloads are ``stream_safe = False`` and recovery
+  redoes *declared* writes instead of re-executing bodies (a probe
+  over a torn image could place a key in the wrong slot).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.schemes import RegionContext, RegionDecl
+from repro.schemes import RegionContext, RegionDecl, timed_load
 from repro.sim.address import Region
 from repro.sim.isa import Compute
 from repro.sim.machine import Machine, ThreadGen
@@ -130,7 +130,7 @@ class BoundAppendLog(BoundRegionWorkload):
     def region_body(
         self, tid: int, decl: RegionDecl, ctx: RegionContext
     ) -> ThreadGen:
-        head = yield from ctx.load(self.heads[tid].base)
+        head = yield from timed_load(self.heads[tid].base)
         if int(head) != decl.seq:
             raise WorkloadError(
                 f"log thread {tid}: head reads {head!r} before append "
@@ -261,7 +261,7 @@ class BoundPersistentHashmap(BoundRegionWorkload):
         capacity = self.spec.capacity
         slot = key % capacity
         while True:
-            current = yield from ctx.load(self.slot_keys[tid].addr(slot))
+            current = yield from timed_load(self.slot_keys[tid].addr(slot))
             if current == 0.0 or current == float(key):
                 break
             slot = (slot + 1) % capacity

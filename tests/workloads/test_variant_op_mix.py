@@ -60,6 +60,25 @@ class TestTableOne:
         assert ops[Fence] > 0
 
 
+class TestEagerFlushDeclaration:
+    """The scheme layer's EP writes data lines back with clwb only for
+    a workload that declares it re-reads its output
+    (``rereads_output``, EXPERIMENTS.md deviation 3)."""
+
+    def test_cholesky_writes_back_its_data_lines(self):
+        ops = op_mix("cholesky", "ep")
+        spec = SPECS["cholesky"]
+        regions = spec["n"] // spec["col_block"]  # one thread
+        assert ops[FlushWB] > 0
+        # clflushopt only for the progress marker, once per region
+        assert ops[Flush] == regions
+
+    def test_conv2d_issues_no_clwb(self):
+        ops = op_mix("conv2d", "ep")
+        assert ops[FlushWB] == 0
+        assert ops[Flush] > 0
+
+
 class TestTmmAccounting:
     def test_ep_flush_count_formula(self):
         """One clflushopt per c row-stride line plus one per tile
