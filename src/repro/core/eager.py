@@ -3,15 +3,17 @@
 These are the building blocks of the paper's baselines and of LP's own
 recovery code (which is deliberately Eager to guarantee forward
 progress, section III-E): ``clflushopt`` every line covering a set of
-addresses, then one ``sfence``.
+addresses, then one ``sfence``; and the per-thread durable progress
+markers the Eager baselines publish.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, Optional
+from typing import Generator, Iterable, List, Optional
 
-from repro.sim.address import line_of
+from repro.sim.address import Region, line_of
 from repro.sim.isa import Fence, Flush, FlushWB, Op, Store
+from repro.sim.machine import Machine
 
 
 def lines_covering(addrs: Iterable[int]) -> list:
@@ -67,3 +69,20 @@ def durable_store(addr: int, value: float) -> Generator[Op, Optional[float], Non
     yield Store(addr, value)
     yield Flush(addr)
     yield Fence()
+
+
+def progress_markers(
+    machine: Machine, prefix: str, num_threads: int, create: bool = True
+) -> List[Region]:
+    """One durable progress marker per thread, ``{prefix}.progress.{t}``.
+
+    Markers start at -1 (nothing done); a thread publishes progress with
+    :func:`durable_store` on its marker's ``base``.  ``create=False``
+    re-attaches to the markers already in the (post-crash) image.
+    """
+    return [
+        machine.scalar(f"{prefix}.progress.{t}", -1.0)
+        if create
+        else machine.region(f"{prefix}.progress.{t}")
+        for t in range(num_threads)
+    ]

@@ -17,16 +17,13 @@ from typing import Generator, Iterable, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.sim.address import Region
-from repro.sim.isa import Compute, Fence, Flush, Op, Store
+from repro.sim.isa import Op
 from repro.sim.machine import Machine
 from repro.core.checksum import ChecksumEngine
 
 #: Sentinel stored in never-written slots.  Real checksums are
 #: non-negative integers, so -1 is unreachable.
 INVALID_CHECKSUM = -1.0
-
-#: Arithmetic cost of computing a slot index from the key.
-_HASH_FLOPS = 1.0
 
 
 class ChecksumTable:
@@ -94,23 +91,21 @@ class ChecksumTable:
     def commit_lazy(
         self, checksum: int, *key: int
     ) -> Generator[Op, Optional[float], None]:
-        """Store a region's checksum with Lazy Persistency (Figure 8).
+        """Store a region's checksum with Lazy Persistency (Figure 8):
+        :meth:`repro.core.lazy.LPRuntime.commit_slot` on the key's slot."""
+        from repro.core.lazy import LPRuntime  # lazy.py imports this module
 
-        One hash-index computation and one plain store: the checksum
-        reaches NVMM by natural eviction like everything else.
-        """
-        yield Compute(_HASH_FLOPS)
-        yield Store(self.slot_addr(*key), float(checksum))
+        yield from LPRuntime.commit_slot(self.slot_addr(*key), checksum)
 
     def commit_eager(
         self, checksum: int, *key: int
     ) -> Generator[Op, Optional[float], None]:
         """Store + clflushopt + sfence (the Eager alternative of III-D)."""
-        yield Compute(_HASH_FLOPS)
-        addr = self.slot_addr(*key)
-        yield Store(addr, float(checksum))
-        yield Flush(addr)
-        yield Fence()
+        from repro.core.lazy import LPRuntime
+
+        yield from LPRuntime.commit_slot(
+            self.slot_addr(*key), checksum, eager=True
+        )
 
     # -- recovery-side inspection (no timing: runs on the NVMM image) -------
 

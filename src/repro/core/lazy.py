@@ -1,4 +1,4 @@
-"""The Lazy Persistency programmer API (paper Figures 5 and 8).
+"""The Lazy Persistency programmer API (paper Figures 5, 8 and 9).
 
 :class:`LPRuntime` bundles a checksum engine with a collision-free
 checksum table and exposes the three-call pattern of Figure 8::
@@ -11,20 +11,33 @@ checksum table and exposes the three-call pattern of Figure 8::
     yield from lp.commit(ck, ii, kk, tid)   # HashTable[h] = GetCheckSum()
 
 Nothing is flushed and no fences are issued: both the data and the
-checksum reach NVMM by natural cache eviction.  After a crash,
-:meth:`LPRuntime.region_is_consistent` replays the checksum over the
-persistent image to decide whether the region needs recomputation.
+checksum reach NVMM by natural cache eviction.
+
+It is also the one implementation of LP's slot-level steps, forward
+and recovery.  Each takes a checksum slot's element address, so it
+serves a table slot (``lp.table.slot_addr(*key)``) and a checksum
+embedded in the data (tmm's Figure 7a columns) alike:
+
+* :meth:`LPRuntime.committed` — has any checksum persisted there;
+* :meth:`LPRuntime.region_matches` — Figure 9's IsMatchingChecksum,
+  timed on the post-crash machine;
+* :meth:`LPRuntime.commit_slot` — the lazy or eager checksum store;
+* :meth:`LPRuntime.recommit` — the eager re-commit after Repair that
+  keeps recovery re-entrant (section III-E).
 """
 
 from __future__ import annotations
 
 from typing import Generator, Iterable, Optional, Sequence
 
-from repro.sim.isa import Op
+from repro.sim.isa import Compute, Fence, Flush, Load, Op, Store
 from repro.sim.machine import Machine
 from repro.core.checksum import ChecksumEngine, get_engine
-from repro.core.hashtable import ChecksumTable
+from repro.core.hashtable import INVALID_CHECKSUM, ChecksumTable
 from repro.core.region import RegionChecksum
+
+#: Arithmetic cost of computing a slot index from the key.
+_HASH_FLOPS = 1.0
 
 
 class LPRuntime:
@@ -44,17 +57,6 @@ class LPRuntime:
         )
         self.machine = machine
 
-    @classmethod
-    def attach(
-        cls,
-        machine: Machine,
-        table_name: str,
-        dims: Sequence[int],
-        engine: "ChecksumEngine | str" = "modular",
-    ) -> "LPRuntime":
-        """Re-attach to an existing table (post-crash recovery path)."""
-        return cls(machine, table_name, dims, engine, create=False)
-
     # -- normal execution ---------------------------------------------------
 
     def begin_region(self) -> RegionChecksum:
@@ -65,29 +67,73 @@ class LPRuntime:
         self, ck: RegionChecksum, *key: int
     ) -> Generator[Op, Optional[float], None]:
         """Store the region's checksum to its table slot, lazily."""
-        yield from self.table.commit_lazy(ck.value, *key)
+        yield from self.commit_slot(self.table.slot_addr(*key), ck.value)
 
-    def commit_eager(
-        self, ck: RegionChecksum, *key: int
+    @staticmethod
+    def commit_slot(
+        slot: int, checksum: int, eager: bool = False
     ) -> Generator[Op, Optional[float], None]:
-        """Eagerly-persisted checksum commit (the III-D alternative)."""
-        yield from self.table.commit_eager(ck.value, *key)
+        """HashTable[h] = GetCheckSum(): one hash-index computation and
+        a plain store, which reaches NVMM by natural eviction.  ``eager``
+        adds clflushopt + sfence (the section III-D alternative)."""
+        yield Compute(_HASH_FLOPS)
+        yield Store(slot, float(checksum))
+        if eager:
+            yield Flush(slot)
+            yield Fence()
 
     # -- recovery side --------------------------------------------------------
+
+    def committed(self, slot: int) -> bool:
+        """True if any checksum ever persisted at ``slot`` (untimed: it
+        reads the NVMM image)."""
+        return (
+            self.machine.mem.persisted(slot, INVALID_CHECKSUM)
+            != INVALID_CHECKSUM
+        )
+
+    def region_matches(
+        self, addrs: Iterable[int], slot: int
+    ) -> Generator[Op, Optional[float], bool]:
+        """Figure 9's IsMatchingChecksum, timed: load the region's
+        values in checksum-update order, charge the whole fold as one
+        ``Compute``, load the slot and compare.
+
+        A slot that never committed returns False at once and issues no
+        op: the region needs recomputation either way.
+        """
+        if not self.committed(slot):
+            return False
+        ck = self.begin_region()
+        for addr in addrs:
+            value = yield Load(addr)
+            ck.update_silent(value)
+        yield Compute(ck.updates * self.engine.flops_per_update)
+        stored = yield Load(slot)
+        return float(ck.value) == stored
+
+    def recommit(
+        self, values: Iterable[float], slot: int
+    ) -> Generator[Op, Optional[float], None]:
+        """Eagerly re-commit the checksum of a repaired region's known
+        values, so a crash during the rest of recovery finds the region
+        consistent (section III-E)."""
+        ck = self.begin_region()
+        for value in values:
+            ck.update_silent(value)
+        yield Compute(ck.updates * self.engine.flops_per_update)
+        yield from self.commit_slot(slot, ck.value, eager=True)
 
     def region_is_consistent(
         self, persisted_values: Iterable[float], *key: int
     ) -> bool:
-        """Figure 5(c): recompute over persisted data, compare to slot.
+        """Figure 5(c), untimed: recompute over persisted data, compare
+        to the key's slot.
 
         False on mismatch *or* if the region never committed a
         checksum — both require recomputation.
         """
         return self.table.matches(persisted_values, *key)
-
-    def region_committed(self, *key: int) -> bool:
-        """True if any checksum for this region ever persisted."""
-        return self.table.is_committed(*key)
 
     @property
     def space_overhead_bytes(self) -> int:

@@ -32,6 +32,7 @@ from repro.errors import WorkloadError
 from repro.sim.address import Region
 from repro.sim.isa import Load, Op, Store
 from repro.sim.machine import Machine
+from repro.core.eager import progress_markers
 from repro.core.lazy import LPRuntime
 from repro.core.wal import WriteAheadLog
 
@@ -212,12 +213,9 @@ class SchemeState:
             engine=engine,
             create=create,
         )
-        self.markers: List[Region] = [
-            machine.scalar(f"{prefix}.progress.{t}", -1.0)
-            if create
-            else machine.region(f"{prefix}.progress.{t}")
-            for t in range(num_threads)
-        ]
+        self.markers: List[Region] = progress_markers(
+            machine, prefix, num_threads, create
+        )
         self.logs: List[WriteAheadLog] = [
             WriteAheadLog(
                 machine,

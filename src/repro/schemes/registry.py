@@ -224,33 +224,23 @@ class LazyScheme(PersistencyScheme):
         earlier region passes without being redone (ROADMAP item 1).
         Workloads that write every address once never check a later
         region's value."""
-        state = host.scheme_state
-        engine = state.lp.engine
+        lp = host.scheme_state.lp
         for decl in host.plans[tid]:
-            if not state.lp.region_committed(tid, decl.seq):
-                return decl.seq
-            ck = RegionChecksum(engine)
-            for addr, _ in decl.writes:
-                value = yield from timed_load(addr)
-                ck.update_silent(value)
-            yield Compute(len(decl.writes) * engine.flops_per_update)
-            stored = yield from timed_load(
-                state.lp.table.slot_addr(tid, decl.seq)
+            matches = yield from lp.region_matches(
+                (addr for addr, _ in decl.writes),
+                lp.table.slot_addr(tid, decl.seq),
             )
-            if float(ck.value) != stored:
+            if not matches:
                 return decl.seq
         return len(host.plans[tid])
 
     def _redo_extra(self, host, tid, decl):
         """Recommit the redone region's checksum, eagerly."""
-        state = host.scheme_state
-        ck = RegionChecksum(state.lp.engine)
-        for _, value in decl.writes:
-            ck.update_silent(value)
-        yield Compute(
-            len(decl.writes) * state.lp.engine.flops_per_update
+        lp = host.scheme_state.lp
+        yield from lp.recommit(
+            (value for _, value in decl.writes),
+            lp.table.slot_addr(tid, decl.seq),
         )
-        yield from state.lp.table.commit_eager(ck.value, tid, decl.seq)
 
 
 class EagerScheme(PersistencyScheme):
@@ -273,9 +263,7 @@ class EagerScheme(PersistencyScheme):
             yield from persist_addrs(decl.addrs)
         yield Fence()
         marker = host.scheme_state.markers[tid]
-        yield Store(marker.base, float(decl.seq))
-        yield Flush(marker.base)
-        yield Fence()
+        yield from durable_store(marker.base, float(decl.seq))
 
     def _frontier(self, host, tid):
         """Trust the marker: everything at or below it is durable."""

@@ -21,14 +21,19 @@ from __future__ import annotations
 
 import cmath
 import random
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.sim.isa import Barrier, Compute, Fence, Flush, Load, Op, RegionMark, Store
+from repro.sim.isa import Barrier, Compute, Fence, Op, RegionMark
 from repro.sim.machine import Machine, ThreadGen
-from repro.core.eager import persist_region, writeback_addrs
+from repro.core.eager import (
+    durable_store,
+    persist_region,
+    progress_markers,
+    writeback_addrs,
+)
 from repro.core.lazy import LPRuntime
 from repro.core.region import RegionChecksum
 from repro.workloads.arrays import PArray
@@ -85,12 +90,7 @@ class BoundFFT(BoundWorkload):
             engine=engine,
             create=create,
         )
-        self.markers = [
-            machine.scalar(f"fft.progress.{t}", -1.0)
-            if create
-            else machine.region(f"fft.progress.{t}")
-            for t in range(num_threads)
-        ]
+        self.markers = progress_markers(machine, "fft", num_threads, create)
         if create:
             rng = random.Random(spec.seed)
             data = [float(rng.randint(-8, 8)) for _ in range(2 * n)]
@@ -210,10 +210,7 @@ class BoundFFT(BoundWorkload):
         # input (see core.eager.writeback_addrs)
         yield from writeback_addrs(written)
         yield Fence()
-        marker = self.markers[tid]
-        yield Store(marker.base, float(stage))
-        yield Flush(marker.base)
-        yield Fence()
+        yield from durable_store(self.markers[tid].base, float(stage))
 
     # ------------------------------------------------------------------
     # recovery
@@ -237,7 +234,10 @@ class BoundFFT(BoundWorkload):
         for stage in reversed(range(self.spec.stages)):
             all_match = True
             for t in range(self.num_threads):
-                matches = yield from self._region_matches(stage, t)
+                matches = yield from self.lp.region_matches(
+                    self._region_addrs(stage, t),
+                    self.lp.table.slot_addr(stage, t),
+                )
                 if not matches:
                     all_match = False
                     break
@@ -256,23 +256,16 @@ class BoundFFT(BoundWorkload):
         resume_from = 0 if survivor is None else survivor + 1
         yield from self._worker(VARIANT_LP, tid, start_stage=resume_from)
 
-    def _region_matches(
-        self, stage: int, tid: int
-    ) -> Generator[Op, Optional[float], bool]:
-        if not self.lp.region_committed(stage, tid):
-            return False
-        dst = self.bufs[(stage + 1) % 2]
+    def _region_addrs(self, stage: int, tid: int) -> Iterator[int]:
+        """Addresses of region (stage, tid)'s values, in checksum order:
+        per butterfly, top re/im then bottom re/im."""
+        addr = self.bufs[(stage + 1) % 2].addr
         groups, m = self.stage_params(stage)
-        ck = RegionChecksum(self.lp.engine)
         for t in self.my_butterflies(tid, stage):
             p, q = t // m, t % m
-            top = yield from self._read_c(dst, q + m * p)
-            bot = yield from self._read_c(dst, q + m * (p + groups))
-            for v in (top.real, top.imag, bot.real, bot.imag):
-                ck.update_silent(v)
-            yield Compute(4 * self.lp.engine.flops_per_update)
-        stored = yield Load(self.lp.table.slot_addr(stage, tid))
-        return float(ck.value) == stored
+            for idx in (q + m * p, q + m * (p + groups)):
+                yield addr(2 * idx)
+                yield addr(2 * idx + 1)
 
     # ------------------------------------------------------------------
     # verification

@@ -29,9 +29,14 @@ from typing import Generator, List, Optional
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.sim.isa import Barrier, Compute, Load, Op, RegionMark
+from repro.sim.isa import Barrier, Compute, Fence, Op, RegionMark
 from repro.sim.machine import Machine, ThreadGen
-from repro.core.eager import persist_region
+from repro.core.eager import (
+    durable_store,
+    persist_addrs,
+    persist_region,
+    progress_markers,
+)
 from repro.core.lazy import LPRuntime
 from repro.core.region import RegionChecksum
 from repro.workloads.arrays import PMatrix
@@ -46,8 +51,6 @@ from repro.workloads.base import (
     integer_matrix,
 )
 from repro.workloads.registry import register
-from repro.sim.isa import Fence, Flush, Store
-from repro.core.eager import persist_addrs
 
 
 @register
@@ -101,12 +104,7 @@ class BoundGauss(BoundWorkload):
             engine=engine,
             create=create,
         )
-        self.markers = [
-            machine.scalar(f"gauss.progress.{t}", -1.0)
-            if create
-            else machine.region(f"gauss.progress.{t}")
-            for t in range(num_threads)
-        ]
+        self.markers = progress_markers(machine, "gauss", num_threads, create)
         if create:
             rng = random.Random(spec.seed)
             mat = integer_matrix(rng, n, n)
@@ -186,10 +184,9 @@ class BoundGauss(BoundWorkload):
             yield from self.lp.commit(ck, k, block)
         elif variant == VARIANT_EP:
             yield Fence()
-            marker = self.markers[tid]
-            yield Store(marker.base, float(k * self.spec.num_blocks + block))
-            yield Flush(marker.base)
-            yield Fence()
+            yield from durable_store(
+                self.markers[tid].base, float(k * self.spec.num_blocks + block)
+            )
 
     # ------------------------------------------------------------------
     # recovery
@@ -223,17 +220,15 @@ class BoundGauss(BoundWorkload):
         self, k: int, block: int
     ) -> Generator[Op, Optional[float], bool]:
         rows = self.block_rows(block, k)
-        if not rows or not self.lp.region_committed(k, block):
+        if not rows:
             return False
-        n = self.spec.n
-        ck = RegionChecksum(self.lp.engine)
-        for i in rows:
-            for j in range(k, n):
-                v = yield from self.a.read(i, j)
-                ck.update_silent(v)
-            yield Compute((n - k) * self.lp.engine.flops_per_update)
-        stored = yield Load(self.lp.table.slot_addr(k, block))
-        return float(ck.value) == stored
+        addr = self.a.addr
+        return (
+            yield from self.lp.region_matches(
+                (addr(i, j) for i in rows for j in range(k, self.spec.n)),
+                self.lp.table.slot_addr(k, block),
+            )
+        )
 
     def _replay(self, frontier: Optional[int]) -> ThreadGen:
         """Restore A from the pristine input, apply stages 0..frontier,
@@ -249,8 +244,8 @@ class BoundGauss(BoundWorkload):
                 yield from self.a.write(i, j, v)
 
         # 2. replay stages 0..frontier with plain stores (arch state);
-        #    checksums are recomputed for the frontier stage only.
-        cks = {b: RegionChecksum(self.lp.engine) for b in range(self.spec.num_blocks)}
+        #    the frontier stage's values are kept for its checksums.
+        redone: List[List[float]] = [[] for _ in range(self.spec.num_blocks)]
         for k in range(0 if frontier is None else frontier + 1):
             pivot = yield from self.a.read(k, k)
             for i in range(k + 1, n):
@@ -260,14 +255,14 @@ class BoundGauss(BoundWorkload):
                 yield Compute(1)
                 yield from self.a.write(i, k, factor)
                 if k == frontier:
-                    cks[block].update_silent(factor)
+                    redone[block].append(factor)
                 for j in range(k + 1, n):
                     akj = yield from self.a.read(k, j)
                     aij = yield from self.a.read(i, j)
                     updated = aij - factor * akj
                     yield from self.a.write(i, j, updated)
                     if k == frontier:
-                        cks[block].update_silent(updated)
+                        redone[block].append(updated)
                 yield Compute(2 * (n - k - 1))
 
         # 3. persist the replayed matrix and the frontier checksums.
@@ -275,8 +270,8 @@ class BoundGauss(BoundWorkload):
         if frontier is not None:
             for block in range(self.spec.num_blocks):
                 if self.block_rows(block, frontier):
-                    yield from self.lp.table.commit_eager(
-                        cks[block].value, frontier, block
+                    yield from self.lp.recommit(
+                        redone[block], self.lp.table.slot_addr(frontier, block)
                     )
 
     # ------------------------------------------------------------------

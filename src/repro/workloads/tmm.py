@@ -43,14 +43,19 @@ associativity argument (section IV) sound.
 from __future__ import annotations
 
 import random
-from typing import Generator, List, Optional
+from typing import Dict, Generator, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.sim.isa import Compute, Fence, Flush, Load, Op, RegionMark, Store
+from repro.sim.isa import Compute, Fence, Load, Op, RegionMark, Store
 from repro.sim.machine import Machine, ThreadGen
-from repro.core.eager import persist_addrs, persist_region
+from repro.core.eager import (
+    durable_store,
+    persist_addrs,
+    persist_region,
+    progress_markers,
+)
 from repro.core.hashtable import INVALID_CHECKSUM
 from repro.core.lazy import LPRuntime
 from repro.core.region import RegionChecksum
@@ -84,6 +89,17 @@ CHECKSUM_ORGS = ("table", "embedded")
 #: The name (like every variant name) comes from the scheme registry;
 #: the implementation is native to this kernel.
 VARIANT_EP_NOFENCE = SCHEME_EP_NOFENCE
+
+
+class _Region(NamedTuple):
+    """One LP region of a kk pass, as recovery sees it: the row-blocks
+    (ii tiles) it covers, its jj tile at ``"jj"`` granularity (None
+    otherwise, when it spans every jj tile), and its checksum slot's
+    address.  Its cells come from :meth:`BoundTMM._cells`, on demand."""
+
+    blocks: Tuple[int, ...]
+    jjt: Optional[int]
+    slot: int
 
 
 @register
@@ -182,12 +198,7 @@ class BoundTMM(BoundWorkload):
             machine, "tmm.cktab", dims=table_dims, engine=engine, create=create
         )
         # EagerRecompute per-thread progress markers.
-        self.markers = [
-            machine.scalar(f"tmm.progress.{t}", -1.0)
-            if create
-            else machine.region(f"tmm.progress.{t}")
-            for t in range(num_threads)
-        ]
+        self.markers = progress_markers(machine, "tmm", num_threads, create)
         # WAL logs, one per thread, sized for one region's writes plus
         # the progress marker committed inside the same transaction.
         self.logs = [
@@ -220,7 +231,8 @@ class BoundTMM(BoundWorkload):
         return ii_tile % self.num_threads
 
     # ------------------------------------------------------------------
-    # checksum slot plumbing (standalone table vs embedded columns)
+    # LP regions and their checksum slots (standalone table vs embedded
+    # columns)
     # ------------------------------------------------------------------
 
     def _slot_addr(
@@ -236,31 +248,56 @@ class BoundTMM(BoundWorkload):
             return self.lp.table.slot_addr(kkt, iit, tid)
         return self.lp.table.slot_addr(kkt, tid)
 
-    def _slot_committed(
-        self, kkt: int, iit: int, jjt: Optional[int], tid: int
-    ) -> bool:
-        addr = self._slot_addr(kkt, iit, jjt, tid)
-        return (
-            self.machine.mem.persisted(addr, INVALID_CHECKSUM)
-            != INVALID_CHECKSUM
-        )
+    def _pass_regions(self, kkt: int) -> List[_Region]:
+        """Every thread's LP regions of kk pass ``kkt``, in scan order."""
+        T = self.spec.tiles
+        gran = self.spec.granularity
+        if gran == "kk":
+            return [
+                _Region(
+                    tuple(self.my_ii_tiles(t)), None,
+                    self._slot_addr(kkt, 0, None, t),
+                )
+                for t in range(self.num_threads)
+            ]
+        jjts = range(T) if gran == "jj" else (None,)
+        return [
+            _Region(
+                (iit,), jjt,
+                self._slot_addr(kkt, iit, jjt, self.owner_of(iit)),
+            )
+            for iit in range(T)
+            for jjt in jjts
+        ]
 
-    def _commit_slot(
-        self, ck: RegionChecksum, kkt: int, iit: int, jjt: Optional[int],
-        tid: int, eager: bool,
-    ) -> Generator[Op, Optional[float], None]:
-        addr = self._slot_addr(kkt, iit, jjt, tid)
-        yield Compute(1)  # slot-index computation
-        yield Store(addr, float(ck.value))
-        if eager:
-            yield Flush(addr)
-            yield Fence()
+    def _covering(self, kkt: int, iit: int) -> List[_Region]:
+        """The regions of pass ``kkt`` that cover row-block ``iit``."""
+        return [r for r in self._pass_regions(kkt) if iit in r.blocks]
 
-    def _read_slot(
-        self, kkt: int, iit: int, jjt: Optional[int], tid: int
-    ) -> Generator[Op, Optional[float], float]:
-        value = yield Load(self._slot_addr(kkt, iit, jjt, tid))
-        return value  # type: ignore[return-value]
+    def _cells(self, region: _Region) -> Iterator[int]:
+        """A region's c addresses in the exact order its checksum was
+        updated (Figure 8): per row-block, jj tiles outermost, then i
+        rows, then j."""
+        b = self.spec.bsize
+        jjts = range(self.spec.tiles) if region.jjt is None else (region.jjt,)
+        c_addr = self.c.addr
+        for iit in region.blocks:
+            for jjt in jjts:
+                for i in range(iit * b, iit * b + b):
+                    for j in range(jjt * b, jjt * b + b):
+                        yield c_addr(i, j)
+
+    def _all_match(
+        self, regions: List[_Region]
+    ) -> Generator[Op, Optional[float], bool]:
+        """IsMatchingChecksum on each region, up to the first miss."""
+        for region in regions:
+            ok = yield from self.lp.region_matches(
+                self._cells(region), region.slot
+            )
+            if not ok:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # normal execution
@@ -287,8 +324,8 @@ class BoundTMM(BoundWorkload):
                 yield from self.tag()
             if lp_kk:
                 assert outer_ck is not None
-                yield from self._commit_slot(
-                    outer_ck, kkt, 0, None, tid,
+                yield from self.lp.commit_slot(
+                    self._slot_addr(kkt, 0, None, tid), outer_ck.value,
                     eager=self.spec.eager_checksum,
                 )
             yield from self.tag()
@@ -339,15 +376,16 @@ class BoundTMM(BoundWorkload):
                         yield from ck.update(s)  # UpdateCheckSum(c[i][j])
             if variant == VARIANT_LP and gran == "jj":
                 assert ck is not None
-                yield from self._commit_slot(
-                    ck, kkt, iit, jjt, tid,
+                yield from self.lp.commit_slot(
+                    self._slot_addr(kkt, iit, jjt, tid), ck.value,
                     eager=self.spec.eager_checksum,
                 )
 
         if variant == VARIANT_LP and gran == "ii":
             assert ck is not None
-            yield from self._commit_slot(
-                ck, kkt, iit, None, tid, eager=self.spec.eager_checksum
+            yield from self.lp.commit_slot(
+                self._slot_addr(kkt, iit, None, tid), ck.value,
+                eager=self.spec.eager_checksum,
             )
         elif variant == VARIANT_WAL:
             # The progress marker commits inside the transaction so a
@@ -388,10 +426,9 @@ class BoundTMM(BoundWorkload):
         if variant == VARIANT_EP:
             # wait for the tile's flushes before claiming progress
             yield Fence()
-        marker = self.markers[tid]
-        yield Store(marker.base, float(self._tile_seq(kkt, iit, jjt)))
-        yield Flush(marker.base)
-        yield Fence()
+        yield from durable_store(
+            self.markers[tid].base, float(self._tile_seq(kkt, iit, jjt))
+        )
 
     # ------------------------------------------------------------------
     # progress-marker encoding (EP and WAL recovery)
@@ -520,136 +557,54 @@ class BoundTMM(BoundWorkload):
         yield RegionMark(f"tmm:recover:t{tid}:scan")
 
         # 1. reverse scan over kk for the restart frontier (Figure 9
-        #    lines 1-15).  Timed: post-crash arch state == NVMM image.
+        #    lines 1-15): the last pass with any matching region.
+        #    Timed: post-crash arch state == NVMM image.
         frontier: Optional[int] = None
         for kkt in reversed(range(self.spec.kk_tiles)):
-            found = yield from self._any_region_matches(kkt)
-            if found:
-                frontier = kkt
+            for region in self._pass_regions(kkt):
+                found = yield from self.lp.region_matches(
+                    self._cells(region), region.slot
+                )
+                if found:
+                    frontier = kkt
+                    break
+            if frontier is not None:
                 break
 
-        # 2. repair this thread's inconsistent row-blocks at the frontier.
+        # 2. repair this thread's row-blocks that are not exactly at the
+        #    frontier.  A frontier region is re-committed, eagerly, once
+        #    all its blocks are repaired, so a crash during the rest of
+        #    recovery finds it consistent; a region with a block left
+        #    alone matched after the repairs before that block.
+        repaired: Dict[int, float] = {}
+        done: Set[int] = set()
         for iit in self.my_ii_tiles(tid):
-            if frontier is not None:
-                ok = yield from self._block_consistent_at(frontier, iit)
+            regions = [] if frontier is None else self._covering(frontier, iit)
+            if regions:
+                ok = yield from self._all_match(regions)
                 if ok:
                     continue
             yield RegionMark(f"tmm:recover:t{tid}:repair:ii{iit}")
-            yield from self._repair_block(tid, iit, frontier)
-        if frontier is not None and self.spec.granularity == "kk":
-            # the per-thread kk checksum covers all of this thread's
-            # blocks; re-commit it over the (now consistent) pass
-            yield from self._recommit_kk_checksum(tid, frontier)
+            new_values = yield from self._repair_block(iit, frontier)
+            repaired.update(new_values)
+            done.add(iit)
+            for region in regions:
+                if done.issuperset(region.blocks):
+                    yield from self.lp.recommit(
+                        [repaired[addr] for addr in self._cells(region)],
+                        region.slot,
+                    )
 
         # 3. resume normal (Lazy) execution after the frontier.
         resume_from = 0 if frontier is None else frontier + 1
         yield from self._worker(VARIANT_LP, tid, start_kk_tile=resume_from)
 
-    # -- consistency probes, per granularity --------------------------------
-
-    def _any_region_matches(
-        self, kkt: int
-    ) -> Generator[Op, Optional[float], bool]:
-        spec = self.spec
-        if spec.granularity == "jj":
-            for iit in range(spec.tiles):
-                for jjt in range(spec.tiles):
-                    ok = yield from self._tile_matches(kkt, iit, jjt)
-                    if ok:
-                        return True
-            return False
-        if spec.granularity == "kk":
-            for t in range(self.num_threads):
-                ok = yield from self._kk_pass_matches(kkt, t)
-                if ok:
-                    return True
-            return False
-        for iit in range(spec.tiles):
-            ok = yield from self._block_matches(kkt, iit)
-            if ok:
-                return True
-        return False
-
-    def _block_consistent_at(
-        self, kkt: int, iit: int
-    ) -> Generator[Op, Optional[float], bool]:
-        """Is this whole row-block exactly at state kkt?"""
-        spec = self.spec
-        if spec.granularity == "jj":
-            for jjt in range(spec.tiles):
-                ok = yield from self._tile_matches(kkt, iit, jjt)
-                if not ok:
-                    return False
-            return True
-        if spec.granularity == "kk":
-            return (
-                yield from self._kk_pass_matches(kkt, self.owner_of(iit))
-            )
-        return (yield from self._block_matches(kkt, iit))
-
-    def _block_matches(
-        self, kkt: int, iit: int
-    ) -> Generator[Op, Optional[float], bool]:
-        """IsMatchingChecksum(ii, kk) for ii-granularity regions."""
-        tid = self.owner_of(iit)
-        if not self._slot_committed(kkt, iit, None, tid):
-            return False
-        ck = RegionChecksum(self.lp.engine)
-        for i, j in self._region_value_order(iit):
-            v = yield from self.c.read(i, j)
-            ck.update_silent(v)
-            yield Compute(self.lp.engine.flops_per_update)
-        stored = yield from self._read_slot(kkt, iit, None, tid)
-        return float(ck.value) == stored
-
-    def _tile_matches(
-        self, kkt: int, iit: int, jjt: int
-    ) -> Generator[Op, Optional[float], bool]:
-        tid = self.owner_of(iit)
-        if not self._slot_committed(kkt, iit, jjt, tid):
-            return False
-        b = self.spec.bsize
-        ck = RegionChecksum(self.lp.engine)
-        for i in range(iit * b, iit * b + b):
-            for j in range(jjt * b, jjt * b + b):
-                v = yield from self.c.read(i, j)
-                ck.update_silent(v)
-                yield Compute(self.lp.engine.flops_per_update)
-        stored = yield from self._read_slot(kkt, iit, jjt, tid)
-        return float(ck.value) == stored
-
-    def _kk_pass_matches(
-        self, kkt: int, tid: int
-    ) -> Generator[Op, Optional[float], bool]:
-        if not self._slot_committed(kkt, 0, None, tid):
-            return False
-        ck = RegionChecksum(self.lp.engine)
-        for iit in self.my_ii_tiles(tid):
-            for i, j in self._region_value_order(iit):
-                v = yield from self.c.read(i, j)
-                ck.update_silent(v)
-                yield Compute(self.lp.engine.flops_per_update)
-        stored = yield from self._read_slot(kkt, 0, None, tid)
-        return float(ck.value) == stored
-
-    def _region_value_order(self, iit: int):
-        """(i, j) pairs in the exact order region (kk, iit) updates its
-        checksum: jj tiles outermost, then i rows, then j (Figure 8)."""
-        b, T = self.spec.bsize, self.spec.tiles
-        ii = iit * b
-        for jjt in range(T):
-            jj = jjt * b
-            for i in range(ii, ii + b):
-                for j in range(jj, jj + b):
-                    yield i, j
-
-    # -- repair ---------------------------------------------------------------
-
     def _repair_block(
-        self, tid: int, iit: int, frontier: Optional[int]
-    ) -> Generator[Op, Optional[float], None]:
+        self, iit: int, frontier: Optional[int]
+    ) -> Generator[Op, Optional[float], Dict[int, float]]:
         """Repair(ii, kk): bring a row-block to its state after the
-        frontier kk, with Eager Persistency (forward progress)."""
+        frontier kk, with Eager Persistency (forward progress).
+        Returns the block's new values by c address."""
         spec = self.spec
         n, b = spec.n, spec.bsize
         ii = iit * b
@@ -664,13 +619,13 @@ class BoundTMM(BoundWorkload):
             and frontier is not None
         ):
             for kkt in reversed(range(frontier)):
-                ok = yield from self._block_matches(kkt, iit)
+                ok = yield from self._all_match(self._covering(kkt, iit))
                 if ok:
                     base_kkt = kkt
                     break
         k_lo = 0 if base_kkt is None else (base_kkt + 1) * b
 
-        new_values = {}
+        new_values: Dict[int, float] = {}
         for i in range(ii, ii + b):
             for j in range(n):
                 if base_kkt is None:
@@ -684,41 +639,10 @@ class BoundTMM(BoundWorkload):
                 if k_hi > k_lo:
                     yield Compute(2 * (k_hi - k_lo))
                 yield from self.c.write(i, j, s)
-                new_values[(i, j)] = s
+                new_values[self.c.addr(i, j)] = s
         # persist the repaired block eagerly (forward progress)
-        yield from persist_region(
-            [self.c.addr(i, j) for i in range(ii, ii + b) for j in range(n)]
-        )
-        if frontier is None:
-            return
-        # re-commit the frontier checksum(s) eagerly so a crash during
-        # the remaining recovery finds this block consistent.
-        if spec.granularity == "jj":
-            for jjt in range(spec.tiles):
-                ck = RegionChecksum(self.lp.engine)
-                for i in range(ii, ii + b):
-                    for j in range(jjt * b, jjt * b + b):
-                        ck.update_silent(new_values[(i, j)])
-                        yield Compute(self.lp.engine.flops_per_update)
-                yield from self._commit_slot(
-                    ck, frontier, iit, jjt, tid, eager=True
-                )
-        elif spec.granularity == "ii":
-            ck = RegionChecksum(self.lp.engine)
-            for i, j in self._region_value_order(iit):
-                ck.update_silent(new_values[(i, j)])
-                yield Compute(self.lp.engine.flops_per_update)
-            yield from self._commit_slot(ck, frontier, iit, None, tid, eager=True)
-        # "kk" granularity recommits once per thread in _recover.
-
-    def _recommit_kk_checksum(self, tid: int, frontier: int) -> ThreadGen:
-        ck = RegionChecksum(self.lp.engine)
-        for iit in self.my_ii_tiles(tid):
-            for i, j in self._region_value_order(iit):
-                v = yield from self.c.read(i, j)
-                ck.update_silent(v)
-                yield Compute(self.lp.engine.flops_per_update)
-        yield from self._commit_slot(ck, frontier, 0, None, tid, eager=True)
+        yield from persist_region(list(new_values))
+        return new_values
 
     # ------------------------------------------------------------------
     # verification

@@ -10,7 +10,7 @@ from repro.sim.cleaner import PeriodicCleaner
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.crash import CrashPlan, run_with_crash
 from repro.sim.machine import Machine
-from repro.workloads.tmm import TiledMatMul
+from repro.workloads.tmm import REPAIR_MODES, TiledMatMul
 
 N, B = 24, 8
 
@@ -82,6 +82,36 @@ class TestGranularities:
             wl = TiledMatMul(n=N, bsize=B, granularity=gran)
             bound = wl.bind(machine(), num_threads=2)
             assert bound.lp.table.num_slots == slots
+
+
+class TestDrainedRecovery:
+    """Recovering a drained, complete run finds every frontier region
+    consistent, so it repairs nothing and persists nothing.  The kk
+    granularity used to re-commit each thread's pass checksum (a flush
+    and a fence) all the same."""
+
+    @pytest.mark.parametrize(
+        "gran,org",
+        [("jj", "table"), ("ii", "table"), ("kk", "table"), ("ii", "embedded")],
+    )
+    @pytest.mark.parametrize("repair", REPAIR_MODES)
+    def test_repairs_and_flushes_nothing(self, gran, org, repair):
+        wl = TiledMatMul(
+            n=16, bsize=4, kk_tiles=3, granularity=gran,
+            checksum_org=org, repair=repair,
+        )
+        m = machine()
+        bound = wl.bind(m, num_threads=2)
+        m.run(bound.threads("lp"))
+        m.drain()
+        post = m.after_crash()
+        rb = wl.bind(post, num_threads=2, create=False)
+        marks = []
+        post.on_mark = lambda mark, cid, clock: marks.append(mark.label)
+        res = post.run(rb.recovery_threads())
+        assert rb.verify()
+        assert not [label for label in marks if ":repair:" in label]
+        assert res.flush_ops == 0
 
 
 class TestIncrementalRepair:
