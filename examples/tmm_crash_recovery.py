@@ -42,7 +42,7 @@ def main() -> None:
     rebound = wl.bind(post, num_threads=threads, create=False)
     marks = []
     post.on_mark = lambda mark, cid, clock: marks.append(mark.label)
-    rres = post.run(rebound.recovery_threads())
+    rres = post.run(rebound.recovery_threads("lp"))
 
     repairs = [m for m in marks if "repair" in m]
     print(f"recovery: {rres.ops_executed} ops, "

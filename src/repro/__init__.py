@@ -17,7 +17,9 @@ Quickstart::
 
     wl = get_workload("tmm")(n=32, bsize=8)
     machine = Machine(scaled_machine(num_cores=2))
-    result = wl.run(machine, variant="lp", num_threads=1)
+    bound = wl.bind(machine, num_threads=1)
+    result = machine.run(bound.threads("lp"))
+    assert bound.verify()
     print(result.exec_cycles, result.nvmm_writes)
 """
 

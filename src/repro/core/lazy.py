@@ -6,7 +6,7 @@ checksum table and exposes the three-call pattern of Figure 8::
     ck = lp.begin_region()              # ResetCheckSum()
     ...
     yield Store(addr, v)
-    yield from ck.update(v)             # UpdateCheckSum(v)
+    yield ck.update(v)                  # UpdateCheckSum(v)
     ...
     yield from lp.commit(ck, ii, kk, tid)   # HashTable[h] = GetCheckSum()
 
@@ -107,7 +107,7 @@ class LPRuntime:
         ck = self.begin_region()
         for addr in addrs:
             value = yield Load(addr)
-            ck.update_silent(value)
+            ck.update(value)
         yield Compute(ck.updates * self.engine.flops_per_update)
         stored = yield Load(slot)
         return float(ck.value) == stored
@@ -120,20 +120,9 @@ class LPRuntime:
         consistent (section III-E)."""
         ck = self.begin_region()
         for value in values:
-            ck.update_silent(value)
+            ck.update(value)
         yield Compute(ck.updates * self.engine.flops_per_update)
         yield from self.commit_slot(slot, ck.value, eager=True)
-
-    def region_is_consistent(
-        self, persisted_values: Iterable[float], *key: int
-    ) -> bool:
-        """Figure 5(c), untimed: recompute over persisted data, compare
-        to the key's slot.
-
-        False on mismatch *or* if the region never committed a
-        checksum — both require recomputation.
-        """
-        return self.table.matches(persisted_values, *key)
 
     @property
     def space_overhead_bytes(self) -> int:

@@ -9,9 +9,7 @@ near-zero overhead.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
-
-from repro.sim.isa import Compute, Op
+from repro.sim.isa import Compute
 from repro.core.checksum import ChecksumEngine
 
 
@@ -22,30 +20,20 @@ class RegionChecksum:
         self.engine = engine
         self._state = engine.reset()
         self.updates = 0
+        #: The one op that charges an update's arithmetic: ops are
+        #: frozen, so every update of the region yields this object.
+        self._op = Compute(engine.flops_per_update)
 
-    def reset(self) -> None:
-        """ResetCheckSum(): start a new region."""
-        self._state = self.engine.reset()
-        self.updates = 0
+    def update(self, value: float) -> Compute:
+        """UpdateCheckSum(value): fold a value in and return the
+        ``Compute`` op that charges the engine's arithmetic.
 
-    def update(self, value: float) -> Generator[Op, Optional[float], None]:
-        """UpdateCheckSum(value): fold a stored value in.
-
-        A generator so workloads can ``yield from`` it; charges the
-        engine's arithmetic cost to the issuing core.
+        Forward code writes ``yield ck.update(v)``; recovery-side folds,
+        which charge the whole fold as one op, drop it.
         """
         self._state = self.engine.update(self._state, value)
         self.updates += 1
-        yield Compute(self.engine.flops_per_update)
-
-    def update_silent(self, value: float) -> None:
-        """Fold a value in without charging simulation cost.
-
-        Used by recovery-side validation where the caller accounts for
-        the loads itself, and by tests.
-        """
-        self._state = self.engine.update(self._state, value)
-        self.updates += 1
+        return self._op
 
     @property
     def value(self) -> int:

@@ -24,14 +24,6 @@ class SimulationError(ReproError):
     """The simulator reached an inconsistent internal state."""
 
 
-class CrashInjected(ReproError):
-    """Raised internally to unwind the simulation at a crash point.
-
-    User code never sees this; :mod:`repro.sim.crash` catches it and
-    returns the post-crash machine state.
-    """
-
-
 class RecoveryError(ReproError):
     """Recovery could not restore a consistent persistent state."""
 

@@ -13,7 +13,6 @@ from repro.schemes.compose import (
     RegionDecl,
     SchemeState,
     WriteBehindJournal,
-    timed_load,
     validate_plans,
 )
 from repro.schemes.registry import (
@@ -50,6 +49,5 @@ __all__ = [
     "get_scheme",
     "scheme_names",
     "sound_scheme_names",
-    "timed_load",
     "validate_plans",
 ]

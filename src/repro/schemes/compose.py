@@ -30,7 +30,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import WorkloadError
 from repro.sim.address import Region
-from repro.sim.isa import Load, Op, Store
+from repro.sim.isa import Op, Store
 from repro.sim.machine import Machine
 from repro.core.eager import progress_markers
 from repro.core.lazy import LPRuntime
@@ -63,12 +63,6 @@ class RegionDecl:
         return seen
 
 
-def timed_load(addr: int):
-    """One timed load; ``yield from`` returns the loaded value."""
-    value = yield Load(addr)
-    return value
-
-
 class RegionContext:
     """Tracked stores inside one region body.
 
@@ -76,9 +70,9 @@ class RegionContext:
     from ctx.store(addr, v)``) so the active scheme can interleave its
     protocol (checksum updates, deferral into a WAL transaction) and
     the runner can verify the body produced exactly its declared
-    write-set.  Loads are ordinary timed loads (:func:`timed_load`) —
-    bodies may read anything *except* their own in-region writes, which
-    a deferring scheme (WAL) has not architecturally performed yet.
+    write-set.  Loads are plain ``yield Load(addr)`` ops — bodies may
+    read anything *except* their own in-region writes, which a deferring
+    scheme (WAL) has not architecturally performed yet.
     """
 
     def __init__(self, defer: bool = False) -> None:

@@ -32,7 +32,7 @@ from abc import ABC
 from typing import Dict, List
 
 from repro.errors import WorkloadError
-from repro.sim.isa import Compute, Fence, Flush, RegionMark, Store
+from repro.sim.isa import Fence, Flush, Load, RegionMark, Store
 from repro.core.eager import (
     durable_store,
     persist_addrs,
@@ -40,7 +40,7 @@ from repro.core.eager import (
     writeback_addrs,
 )
 from repro.core.region import RegionChecksum
-from repro.schemes.compose import RegionContext, RegionDecl, timed_load
+from repro.schemes.compose import RegionContext, RegionDecl
 
 #: Scheme names (Table IV variants plus this repo's extensions).
 SCHEME_BASE = "base"
@@ -196,19 +196,15 @@ class LazyScheme(PersistencyScheme):
     sound = True
 
     class _Context(RegionContext):
-        def __init__(self, ck: RegionChecksum, flops: float) -> None:
+        def __init__(self, ck: RegionChecksum) -> None:
             super().__init__()
             self.ck = ck
-            self.flops = flops
 
         def store(self, addr, value):
-            ops = super().store(addr, value)
-            self.ck.update_silent(float(value))
-            return tuple(ops) + (Compute(self.flops),)
+            return (*super().store(addr, value), self.ck.update(float(value)))
 
     def _context(self, host):
-        lp = host.scheme_state.lp
-        return self._Context(lp.begin_region(), lp.engine.flops_per_update)
+        return self._Context(host.scheme_state.lp.begin_region())
 
     def _end_region(self, host, tid, decl, ctx):
         yield from host.scheme_state.lp.commit(ctx.ck, tid, decl.seq)
@@ -387,12 +383,12 @@ class WriteBehindScheme(PersistencyScheme):
             restored: List[int] = []
             for i in range(count):
                 a_addr, v_addr = journal.entry_addrs(i)
-                target = yield from timed_load(a_addr)
-                value = yield from timed_load(v_addr)
+                target = yield Load(a_addr)
+                value = yield Load(v_addr)
                 yield Store(int(target), value)
                 restored.append(int(target))
             yield from persist_region(restored)
-            seq = yield from timed_load(journal.seq_addr)
+            seq = yield Load(journal.seq_addr)
             yield Store(marker.base, seq)
             yield Flush(marker.base)
             yield Store(journal.status_addr, 0.0)

@@ -73,7 +73,6 @@ from repro.sim.isa import (
     Store,
 )
 from repro.sim.ledger import LatencyLedger
-from repro.sim.queues import BoundedQueue
 from repro.sim.stats import CoreStats
 from repro.sim.timing import CoreTiming, DetailedCoreTiming
 from repro.sim.valuestore import MemoryState
@@ -105,7 +104,7 @@ class Core:
             else DetailedCoreTiming(config, stats, LatencyLedger())
         )
 
-    # -- timing-view delegation (back-compat surface) ----------------------
+    # -- timing-view delegation ----------------------------------------------
 
     @property
     def clock(self) -> float:
@@ -114,22 +113,6 @@ class Core:
     @clock.setter
     def clock(self, value: float) -> None:
         self.timer.clock = value
-
-    @property
-    def store_buffer(self) -> BoundedQueue:
-        return self.timer.store_buffer
-
-    @property
-    def flush_queue(self) -> BoundedQueue:
-        return self.timer.flush_queue
-
-    @property
-    def mshrs(self) -> BoundedQueue:
-        return self.timer.mshrs
-
-    def outstanding_drain_time(self) -> float:
-        """When all of this core's in-flight persistence work completes."""
-        return self.timer.outstanding_drain_time()
 
     # ------------------------------------------------------------------
 

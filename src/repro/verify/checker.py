@@ -288,7 +288,7 @@ def _run_recovery(
     rebound = workload.bind(
         post, num_threads=num_threads, engine=engine, create=False
     )
-    result = post.run(rebound.recovery_threads_for(variant))
+    result = post.run(rebound.recovery_threads(variant))
     return rebound.verify(), result
 
 

@@ -1,20 +1,21 @@
 """Persistent array/matrix views over simulator regions.
 
-Workload kernels access data exclusively through these helpers, which
-emit :mod:`repro.sim.isa` ops — so every element access goes through
-the simulated cache hierarchy.  Bulk (untimed) accessors exist for
+These views allocate (or re-attach to) a workload's regions and map
+element indices to addresses.  Kernels time every element access by
+yielding :mod:`repro.sim.isa` ops on those addresses directly
+(``v = yield Load(m.addr(i, j))``), so each goes through the simulated
+cache hierarchy.  The bulk accessors are untimed and serve
 initialisation, reference computation and verification only.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.errors import WorkloadError
 from repro.sim.address import ELEMENT_BYTES, Region
-from repro.sim.isa import Load, Op, Store
 from repro.sim.machine import Machine
 
 
@@ -33,17 +34,6 @@ class PArray:
                 f"region {name!r} holds {self.region.num_elements} elements, "
                 f"expected {n}"
             )
-
-    # -- timed ops (generators) ---------------------------------------------
-
-    def read(self, i: int) -> Generator[Op, Optional[float], float]:
-        """Timed element load; ``yield from`` returns the value."""
-        value = yield Load(self.region.addr(i))
-        return value  # type: ignore[return-value]
-
-    def write(self, i: int, value: float) -> Generator[Op, Optional[float], None]:
-        """Timed element store."""
-        yield Store(self.region.addr(i), value)
 
     def addr(self, i: int) -> int:
         """Element address of index ``i``."""
@@ -112,19 +102,6 @@ class PMatrix:
             f"({i},{j}) out of bounds for {self.rows}x{self.cols} "
             f"matrix {self.name!r}"
         )
-
-    # -- timed ops -------------------------------------------------------------
-
-    def read(self, i: int, j: int) -> Generator[Op, Optional[float], float]:
-        """Timed element load; ``yield from`` returns the value."""
-        value = yield Load(self.addr(i, j))
-        return value  # type: ignore[return-value]
-
-    def write(
-        self, i: int, j: int, value: float
-    ) -> Generator[Op, Optional[float], None]:
-        """Timed element store."""
-        yield Store(self.addr(i, j), value)
 
     # -- untimed bulk access ----------------------------------------------------
 

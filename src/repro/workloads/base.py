@@ -1,10 +1,12 @@
 """Workload protocol.
 
-A :class:`Workload` holds problem parameters (matrix size, tile size).
-``bind(machine, ...)`` allocates its persistent data on a machine and
-returns a :class:`BoundWorkload`, which produces the thread generators
-for a chosen variant, the recovery threads to run after a crash, and
-verification against a numpy reference.
+A :class:`Workload` holds problem parameters (matrix size, tile size)
+and declares its :class:`BoundWorkload` subclass.  ``bind(machine,
+...)`` builds that class, which allocates the persistent data on a
+machine and produces the thread generators for a chosen variant, the
+recovery threads to run after a crash of that variant, and
+verification against a numpy reference.  Thread generators yield
+:mod:`repro.sim.isa` ops directly (``v = yield Load(addr)``).
 
 Rebinding (``create=False``) attaches to regions that already exist —
 that is how recovery code addresses the same arrays on the post-crash
@@ -15,27 +17,14 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple, Type
 
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.schemes import (
-    SCHEME_BASE,
-    SCHEME_EP,
-    SCHEME_LP,
-    SCHEME_WAL,
-)
+from repro.schemes import SCHEME_BASE, SCHEME_EP, SCHEME_LP
 from repro.sim.isa import Phase
 from repro.sim.machine import Machine, ThreadGen
-
-#: Variants of Table IV.  The names live in :mod:`repro.schemes` (the
-#: single source of truth for the variant axis); these aliases keep
-#: the historical import path the kernels and tests grew up with.
-VARIANT_BASE = SCHEME_BASE
-VARIANT_LP = SCHEME_LP
-VARIANT_EP = SCHEME_EP
-VARIANT_WAL = SCHEME_WAL
 
 
 def integer_matrix(rng: random.Random, rows: int, cols: int, span: int = 4):
@@ -54,9 +43,12 @@ def integer_matrix(rng: random.Random, rows: int, cols: int, span: int = 4):
 class BoundWorkload(ABC):
     """A workload instance bound to one machine's regions."""
 
-    def __init__(self, machine: Machine, num_threads: int, engine: str) -> None:
+    def __init__(
+        self, spec: "Workload", machine: Machine, num_threads: int, engine: str
+    ) -> None:
         if num_threads < 1:
             raise WorkloadError("need at least one thread")
+        self.spec = spec
         self.machine = machine
         self.num_threads = num_threads
         self.engine_name = engine
@@ -85,24 +77,17 @@ class BoundWorkload(ABC):
         """Thread generators for one Table IV variant."""
 
     @abstractmethod
-    def recovery_threads(self) -> List[ThreadGen]:
-        """Recovery + resumed execution, run on the post-crash machine.
+    def recovery_threads(self, variant: str) -> List[ThreadGen]:
+        """Recovery + resumed execution after a crash of ``variant``,
+        run on the post-crash machine.
 
         Must be called on a bound instance attached (rebound) to the
-        post-crash machine.  Recovery uses Eager Persistency so a crash
-        during recovery cannot lose progress (section III-E).
+        post-crash machine.  A workload whose recovery trusts markers
+        or logs dispatches on ``variant``; one conservative path that
+        rebuilds the output from any reachable image may ignore it.
+        Recovery uses Eager Persistency so a crash during recovery
+        cannot lose progress (section III-E).
         """
-
-    def recovery_threads_for(self, variant: str) -> List[ThreadGen]:
-        """Recovery threads for the variant that crashed.
-
-        The default hands back :meth:`recovery_threads`, which is only
-        correct when that path is conservative — able to rebuild the
-        output from any reachable image regardless of which variant
-        wrote it.  Workloads whose eager/WAL recovery trusts markers or
-        logs override this to dispatch per variant.
-        """
-        return self.recovery_threads()
 
     # -- verification -----------------------------------------------------------
 
@@ -134,8 +119,11 @@ class Workload(ABC):
 
     #: Registry name (e.g. "tmm").
     name: str = "abstract"
+    #: The :class:`BoundWorkload` subclass :meth:`bind` builds; its
+    #: constructor takes ``(spec, machine, num_threads, engine, create)``.
+    bound: Type[BoundWorkload]
     #: Variants this workload implements.
-    variants: Tuple[str, ...] = (VARIANT_BASE, VARIANT_LP, VARIANT_EP)
+    variants: Tuple[str, ...] = (SCHEME_BASE, SCHEME_LP, SCHEME_EP)
     #: Deliberately broken variants, runnable but excluded from the
     #: performance sweeps (``variants``): fault-injection targets the
     #: crash checker must flag (e.g. tmm's ``ep_nofence``).
@@ -151,7 +139,6 @@ class Workload(ABC):
     #: (``repro.analysis.runner.cached_op_stream`` refuses it).
     stream_safe: bool = True
 
-    @abstractmethod
     def bind(
         self,
         machine: Machine,
@@ -159,7 +146,9 @@ class Workload(ABC):
         engine: str = "modular",
         create: bool = True,
     ) -> BoundWorkload:
-        """Allocate (or re-attach to) this workload's data on a machine."""
+        """Build :attr:`bound` on ``machine``: allocate this workload's
+        data (``create=True``) or re-attach to it (``create=False``)."""
+        return self.bound(self, machine, num_threads, engine, create)
 
     def check_variant(self, variant: str) -> None:
         """Raise WorkloadError for variants this workload lacks.

@@ -34,43 +34,12 @@ from repro.schemes import (
     RegionContext,
     RegionDecl,
 )
-from repro.sim.isa import Barrier, Compute
-from repro.sim.machine import Machine, ThreadGen
+from repro.sim.isa import Barrier, Compute, Load
+from repro.sim.machine import ThreadGen
 from repro.workloads.arrays import PMatrix
 from repro.workloads.base import integer_matrix
 from repro.workloads.regional import BoundRegionWorkload, RegionWorkload
 from repro.workloads.registry import register
-
-
-@register
-class Cholesky(RegionWorkload):
-    """P = L @ L.T with L lower-triangular; computes L."""
-
-    name = "cholesky"
-    variants = (SCHEME_BASE, SCHEME_LP, SCHEME_EP, SCHEME_WRITE_BEHIND)
-    #: Control flow never depends on loaded values.
-    stream_safe = True
-    #: Later columns re-read every earlier column.
-    rereads_output = True
-
-    def __init__(
-        self, n: int = 48, col_block: int = 8, seed: int = 17
-    ) -> None:
-        if n % col_block != 0:
-            raise WorkloadError(f"n={n} not divisible by col_block={col_block}")
-        self.n = n
-        self.col_block = col_block
-        self.num_blocks = n // col_block
-        self.seed = seed
-
-    def bind(
-        self,
-        machine: Machine,
-        num_threads: int = 1,
-        engine: str = "modular",
-        create: bool = True,
-    ) -> "BoundCholesky":
-        return BoundCholesky(self, machine, num_threads, engine, create)
 
 
 class BoundCholesky(BoundRegionWorkload):
@@ -136,21 +105,22 @@ class BoundCholesky(BoundRegionWorkload):
 
     def _diagonal(self, j: int, ctx: RegionContext) -> ThreadGen:
         """L[j][j] = sqrt(P[j][j] - sum_k L[j][k]^2)."""
-        s = yield from self.pristine.read(j, j)
+        s = yield Load(self.pristine.addr(j, j))
         for k in range(j):
-            v = yield from self.l.read(j, k)
+            v = yield Load(self.l.addr(j, k))
             s -= v * v
         yield Compute(2 * j + 2)
         yield from ctx.store(self.l.addr(j, j), math.sqrt(s))
 
     def _offdiag(self, i: int, j: int, ctx: RegionContext) -> ThreadGen:
         """L[i][j] = (P[i][j] - sum_k L[i][k] L[j][k]) / L[j][j]."""
-        s = yield from self.pristine.read(i, j)
+        l_addr = self.l.addr
+        s = yield Load(self.pristine.addr(i, j))
         for k in range(j):
-            a = yield from self.l.read(i, k)
-            b = yield from self.l.read(j, k)
+            a = yield Load(l_addr(i, k))
+            b = yield Load(l_addr(j, k))
             s -= a * b
-        d = yield from self.l.read(j, j)
+        d = yield Load(l_addr(j, j))
         yield Compute(2 * j + 2)
         yield from ctx.store(self.l.addr(i, j), s / d)
 
@@ -177,3 +147,26 @@ class BoundCholesky(BoundRegionWorkload):
 
     def output(self, persistent: bool = False) -> np.ndarray:
         return self.l.to_numpy(persistent=persistent)
+
+
+@register
+class Cholesky(RegionWorkload):
+    """P = L @ L.T with L lower-triangular; computes L."""
+
+    name = "cholesky"
+    bound = BoundCholesky
+    variants = (SCHEME_BASE, SCHEME_LP, SCHEME_EP, SCHEME_WRITE_BEHIND)
+    #: Control flow never depends on loaded values.
+    stream_safe = True
+    #: Later columns re-read every earlier column.
+    rereads_output = True
+
+    def __init__(
+        self, n: int = 48, col_block: int = 8, seed: int = 17
+    ) -> None:
+        if n % col_block != 0:
+            raise WorkloadError(f"n={n} not divisible by col_block={col_block}")
+        self.n = n
+        self.col_block = col_block
+        self.num_blocks = n // col_block
+        self.seed = seed

@@ -22,52 +22,12 @@ import numpy as np
 
 from repro.errors import WorkloadError
 from repro.schemes import RegionContext, RegionDecl
-from repro.sim.isa import Compute, Op
-from repro.sim.machine import Machine, ThreadGen
+from repro.sim.isa import Compute, Load, Op
+from repro.sim.machine import ThreadGen
 from repro.workloads.arrays import PMatrix
 from repro.workloads.base import integer_matrix
 from repro.workloads.regional import BoundRegionWorkload, RegionWorkload
 from repro.workloads.registry import register
-
-
-@register
-class Conv2D(RegionWorkload):
-    """out = image (*) kernel, valid region, out-of-place."""
-
-    name = "conv2d"
-    #: Control flow never depends on loaded values.
-    stream_safe = True
-
-    def __init__(
-        self,
-        n: int = 64,
-        ksize: int = 3,
-        row_block: int = 4,
-        seed: int = 11,
-    ) -> None:
-        if ksize % 2 != 1 or ksize < 1:
-            raise WorkloadError("kernel size must be odd and positive")
-        self.out_n = n - ksize + 1
-        if self.out_n <= 0:
-            raise WorkloadError(f"image {n} too small for kernel {ksize}")
-        if self.out_n % row_block != 0:
-            raise WorkloadError(
-                f"output rows {self.out_n} not divisible by row_block {row_block}"
-            )
-        self.n = n
-        self.ksize = ksize
-        self.row_block = row_block
-        self.seed = seed
-        self.num_blocks = self.out_n // row_block
-
-    def bind(
-        self,
-        machine: Machine,
-        num_threads: int = 1,
-        engine: str = "modular",
-        create: bool = True,
-    ) -> "BoundConv2D":
-        return BoundConv2D(self, machine, num_threads, engine, create)
 
 
 class BoundConv2D(BoundRegionWorkload):
@@ -114,11 +74,12 @@ class BoundConv2D(BoundRegionWorkload):
 
     def _pixel(self, i: int, j: int) -> Generator[Op, Optional[float], float]:
         spec = self.spec
+        image, kernel = self.image.addr, self.kernel.addr
         s = 0.0
         for di in range(spec.ksize):
             for dj in range(spec.ksize):
-                iv = yield from self.image.read(i + di, j + dj)
-                kv = yield from self.kernel.read(di, dj)
+                iv = yield Load(image(i + di, j + dj))
+                kv = yield Load(kernel(di, dj))
                 s += iv * kv
         yield Compute(2 * spec.ksize * spec.ksize)
         return s
@@ -141,3 +102,35 @@ class BoundConv2D(BoundRegionWorkload):
 
     def output(self, persistent: bool = False) -> np.ndarray:
         return self.out.to_numpy(persistent=persistent)
+
+
+@register
+class Conv2D(RegionWorkload):
+    """out = image (*) kernel, valid region, out-of-place."""
+
+    name = "conv2d"
+    bound = BoundConv2D
+    #: Control flow never depends on loaded values.
+    stream_safe = True
+
+    def __init__(
+        self,
+        n: int = 64,
+        ksize: int = 3,
+        row_block: int = 4,
+        seed: int = 11,
+    ) -> None:
+        if ksize % 2 != 1 or ksize < 1:
+            raise WorkloadError("kernel size must be odd and positive")
+        self.out_n = n - ksize + 1
+        if self.out_n <= 0:
+            raise WorkloadError(f"image {n} too small for kernel {ksize}")
+        if self.out_n % row_block != 0:
+            raise WorkloadError(
+                f"output rows {self.out_n} not divisible by row_block {row_block}"
+            )
+        self.n = n
+        self.ksize = ksize
+        self.row_block = row_block
+        self.seed = seed
+        self.num_blocks = self.out_n // row_block

@@ -26,8 +26,8 @@ from typing import Generator, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.sim.isa import Barrier, Compute, Fence, Op, RegionMark
-from repro.sim.machine import Machine, ThreadGen
+from repro.sim.isa import Barrier, Compute, Fence, Load, Op, RegionMark, Store
+from repro.sim.machine import ThreadGen
 from repro.core.eager import (
     durable_store,
     persist_region,
@@ -37,11 +37,7 @@ from repro.core.eager import (
 from repro.core.lazy import LPRuntime
 from repro.core.region import RegionChecksum
 from repro.workloads.arrays import PArray
-from repro.schemes import (
-    SCHEME_BASE as VARIANT_BASE,
-    SCHEME_EP as VARIANT_EP,
-    SCHEME_LP as VARIANT_LP,
-)
+from repro.schemes import SCHEME_BASE, SCHEME_EP, SCHEME_LP
 from repro.workloads.base import (
     BoundWorkload,
     Workload,
@@ -49,34 +45,9 @@ from repro.workloads.base import (
 from repro.workloads.registry import register
 
 
-@register
-class FFT(Workload):
-    """X = FFT(x) by radix-2 Stockham, double-buffered."""
-
-    name = "fft"
-    variants = (VARIANT_BASE, VARIANT_LP, VARIANT_EP)
-
-    def __init__(self, n: int = 256, seed: int = 23) -> None:
-        if n < 2 or n & (n - 1):
-            raise WorkloadError(f"FFT size {n} must be a power of two >= 2")
-        self.n = n
-        self.stages = n.bit_length() - 1
-        self.seed = seed
-
-    def bind(
-        self,
-        machine: Machine,
-        num_threads: int = 1,
-        engine: str = "modular",
-        create: bool = True,
-    ) -> "BoundFFT":
-        return BoundFFT(self, machine, num_threads, engine, create)
-
-
 class BoundFFT(BoundWorkload):
     def __init__(self, spec, machine, num_threads, engine, create):
-        super().__init__(machine, num_threads, engine)
-        self.spec = spec
+        super().__init__(spec, machine, num_threads, engine)
         n = spec.n
         self.pristine = PArray(machine, "fft.p", 2 * n, create=create)
         self.bufs = [
@@ -117,23 +88,6 @@ class BoundFFT(BoundWorkload):
         return range(lo, hi)
 
     # ------------------------------------------------------------------
-    # complex element access
-    # ------------------------------------------------------------------
-
-    def _read_c(
-        self, buf: PArray, idx: int
-    ) -> Generator[Op, Optional[float], complex]:
-        re = yield from buf.read(2 * idx)
-        im = yield from buf.read(2 * idx + 1)
-        return complex(re, im)
-
-    def _write_c(
-        self, buf: PArray, idx: int, value: complex
-    ) -> Generator[Op, Optional[float], None]:
-        yield from buf.write(2 * idx, value.real)
-        yield from buf.write(2 * idx + 1, value.imag)
-
-    # ------------------------------------------------------------------
     # normal execution
     # ------------------------------------------------------------------
 
@@ -155,37 +109,42 @@ class BoundFFT(BoundWorkload):
     def _stage(
         self, variant: str, tid: int, stage: int
     ) -> Generator[Op, Optional[float], None]:
-        src = self.bufs[stage % 2]
-        dst = self.bufs[(stage + 1) % 2]
+        # complex element i lives at (re, im) = elements (2i, 2i + 1)
+        src = self.bufs[stage % 2].addr
+        dst = self.bufs[(stage + 1) % 2].addr
         groups, m = self.stage_params(stage)
         ck: Optional[RegionChecksum] = None
-        if variant == VARIANT_LP:
+        if variant == SCHEME_LP:
             ck = self.lp.begin_region()
         written: List[int] = []
         in_tile = 0
 
         for t in self.my_butterflies(tid, stage):
             p, q = t // m, t % m
-            a = yield from self._read_c(src, q + m * (2 * p))
-            b = yield from self._read_c(src, q + m * (2 * p + 1))
+            ia, ib = 2 * (q + m * (2 * p)), 2 * (q + m * (2 * p + 1))
+            a_re = yield Load(src(ia))
+            a_im = yield Load(src(ia + 1))
+            b_re = yield Load(src(ib))
+            b_im = yield Load(src(ib + 1))
+            a, b = complex(a_re, a_im), complex(b_re, b_im)
             w = cmath.exp(-2j * cmath.pi * p / (2 * groups))
             top = a + w * b
             bot = a - w * b
             yield Compute(10)  # twiddle multiply + two complex adds
-            yield from self._write_c(dst, q + m * p, top)
-            yield from self._write_c(dst, q + m * (p + groups), bot)
+            it, ibot = 2 * (q + m * p), 2 * (q + m * (p + groups))
+            outs = (
+                (dst(it), top.real),
+                (dst(it + 1), top.imag),
+                (dst(ibot), bot.real),
+                (dst(ibot + 1), bot.imag),
+            )
+            for addr, v in outs:
+                yield Store(addr, v)
             if ck is not None:
-                for v in (top.real, top.imag, bot.real, bot.imag):
-                    yield from ck.update(v)
-            if variant == VARIANT_EP:
-                written.extend(
-                    (
-                        dst.addr(2 * (q + m * p)),
-                        dst.addr(2 * (q + m * p) + 1),
-                        dst.addr(2 * (q + m * (p + groups))),
-                        dst.addr(2 * (q + m * (p + groups)) + 1),
-                    )
-                )
+                for _, v in outs:
+                    yield ck.update(v)
+            if variant == SCHEME_EP:
+                written.extend(addr for addr, _ in outs)
                 in_tile += 1
                 if in_tile >= self.EP_TILE:
                     # EagerRecompute: one transaction per tile — flush
@@ -194,10 +153,10 @@ class BoundFFT(BoundWorkload):
                     written = []
                     in_tile = 0
 
-        if variant == VARIANT_LP:
+        if variant == SCHEME_LP:
             assert ck is not None
             yield from self.lp.commit(ck, stage, tid)
-        elif variant == VARIANT_EP and written:
+        elif variant == SCHEME_EP and written:
             yield from self._ep_tile_commit(tid, stage, written)
 
     #: butterflies per EagerRecompute transaction tile
@@ -216,16 +175,14 @@ class BoundFFT(BoundWorkload):
     # recovery
     # ------------------------------------------------------------------
 
-    def recovery_threads(self) -> List[ThreadGen]:
-        return [self._recover(tid) for tid in range(self.num_threads)]
-
-    def recovery_threads_for(self, variant: str) -> List[ThreadGen]:
+    def recovery_threads(self, variant: str) -> List[ThreadGen]:
         # One conservative path for every variant: the checksum scan
         # finds the highest intact stage, and when nothing survives —
         # always the case for ep, which commits no checksums — buffer 0
         # is restored from the pristine input and the transform replays
         # from stage 0.  Sound on any reachable image.
-        return self.recovery_threads()
+        self.spec.check_variant(variant)
+        return [self._recover(tid) for tid in range(self.num_threads)]
 
     def _recover(self, tid: int) -> ThreadGen:
         yield RegionMark(f"fft:recover:t{tid}")
@@ -247,14 +204,15 @@ class BoundFFT(BoundWorkload):
 
         if survivor is None and tid == 0:
             # restore buffer 0 from the pristine input, eagerly
+            pristine, buf0 = self.pristine.addr, self.bufs[0].addr
             for i in range(2 * self.spec.n):
-                v = yield from self.pristine.read(i)
-                yield from self.bufs[0].write(i, v)
+                v = yield Load(pristine(i))
+                yield Store(buf0(i), v)
             yield from persist_region(list(self.bufs[0].region.element_addrs()))
         yield Barrier()
 
         resume_from = 0 if survivor is None else survivor + 1
-        yield from self._worker(VARIANT_LP, tid, start_stage=resume_from)
+        yield from self._worker(SCHEME_LP, tid, start_stage=resume_from)
 
     def _region_addrs(self, stage: int, tid: int) -> Iterator[int]:
         """Addresses of region (stage, tid)'s values, in checksum order:
@@ -305,3 +263,19 @@ class BoundFFT(BoundWorkload):
         """The transform as a complex numpy vector."""
         flat = self.output(persistent=persistent)
         return flat[0::2] + 1j * flat[1::2]
+
+
+@register
+class FFT(Workload):
+    """X = FFT(x) by radix-2 Stockham, double-buffered."""
+
+    name = "fft"
+    bound = BoundFFT
+    variants = (SCHEME_BASE, SCHEME_LP, SCHEME_EP)
+
+    def __init__(self, n: int = 256, seed: int = 23) -> None:
+        if n < 2 or n & (n - 1):
+            raise WorkloadError(f"FFT size {n} must be a power of two >= 2")
+        self.n = n
+        self.stages = n.bit_length() - 1
+        self.seed = seed

@@ -29,8 +29,8 @@ from typing import Generator, List, Optional
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.sim.isa import Barrier, Compute, Fence, Op, RegionMark
-from repro.sim.machine import Machine, ThreadGen
+from repro.sim.isa import Barrier, Compute, Fence, Load, Op, RegionMark, Store
+from repro.sim.machine import ThreadGen
 from repro.core.eager import (
     durable_store,
     persist_addrs,
@@ -40,11 +40,7 @@ from repro.core.eager import (
 from repro.core.lazy import LPRuntime
 from repro.core.region import RegionChecksum
 from repro.workloads.arrays import PMatrix
-from repro.schemes import (
-    SCHEME_BASE as VARIANT_BASE,
-    SCHEME_EP as VARIANT_EP,
-    SCHEME_LP as VARIANT_LP,
-)
+from repro.schemes import SCHEME_BASE, SCHEME_EP, SCHEME_LP
 from repro.workloads.base import (
     BoundWorkload,
     Workload,
@@ -53,47 +49,9 @@ from repro.workloads.base import (
 from repro.workloads.registry import register
 
 
-@register
-class GaussElimination(Workload):
-    """In-place elimination: A becomes U above the diagonal, the
-    multipliers (L factors) below it."""
-
-    name = "gauss"
-    variants = (VARIANT_BASE, VARIANT_LP, VARIANT_EP)
-
-    def __init__(
-        self,
-        n: int = 48,
-        row_block: int = 4,
-        pivots: Optional[int] = None,
-        seed: int = 13,
-    ) -> None:
-        if n % row_block != 0:
-            raise WorkloadError(f"n={n} not divisible by row_block={row_block}")
-        self.n = n
-        self.row_block = row_block
-        self.num_blocks = n // row_block
-        #: Simulation window: number of pivot columns (the paper's
-        #: simulation passes over 4 columns of a 4096-wide matrix).
-        self.pivots = n - 1 if pivots is None else pivots
-        if not 1 <= self.pivots <= n - 1:
-            raise WorkloadError(f"pivots={pivots} out of range [1, {n - 1}]")
-        self.seed = seed
-
-    def bind(
-        self,
-        machine: Machine,
-        num_threads: int = 1,
-        engine: str = "modular",
-        create: bool = True,
-    ) -> "BoundGauss":
-        return BoundGauss(self, machine, num_threads, engine, create)
-
-
 class BoundGauss(BoundWorkload):
     def __init__(self, spec, machine, num_threads, engine, create):
-        super().__init__(machine, num_threads, engine)
-        self.spec = spec
+        super().__init__(spec, machine, num_threads, engine)
         n = spec.n
         self.pristine = PMatrix(machine, "gauss.p", n, n, create=create)
         self.a = PMatrix(machine, "gauss.a", n, n, create=create)
@@ -156,33 +114,34 @@ class BoundGauss(BoundWorkload):
         self, variant: str, tid: int, k: int, block: int, rows: List[int]
     ) -> Generator[Op, Optional[float], None]:
         n = self.spec.n
+        addr = self.a.addr
         ck: Optional[RegionChecksum] = None
-        if variant == VARIANT_LP:
+        if variant == SCHEME_LP:
             ck = self.lp.begin_region()
 
-        pivot = yield from self.a.read(k, k)
+        pivot = yield Load(addr(k, k))
         for i in rows:
-            aik = yield from self.a.read(i, k)
+            aik = yield Load(addr(i, k))
             factor = aik / pivot
             yield Compute(1)
-            yield from self.a.write(i, k, factor)
+            yield Store(addr(i, k), factor)
             if ck is not None:
-                yield from ck.update(factor)
+                yield ck.update(factor)
             for j in range(k + 1, n):
-                akj = yield from self.a.read(k, j)
-                aij = yield from self.a.read(i, j)
+                akj = yield Load(addr(k, j))
+                aij = yield Load(addr(i, j))
                 updated = aij - factor * akj
-                yield from self.a.write(i, j, updated)
+                yield Store(addr(i, j), updated)
                 if ck is not None:
-                    yield from ck.update(updated)
+                    yield ck.update(updated)
             yield Compute(2 * (n - k - 1))
-            if variant == VARIANT_EP:
+            if variant == SCHEME_EP:
                 yield from persist_addrs(self.a.row_addrs(i, k, n))
 
-        if variant == VARIANT_LP:
+        if variant == SCHEME_LP:
             assert ck is not None
             yield from self.lp.commit(ck, k, block)
-        elif variant == VARIANT_EP:
+        elif variant == SCHEME_EP:
             yield Fence()
             yield from durable_store(
                 self.markers[tid].base, float(k * self.spec.num_blocks + block)
@@ -192,7 +151,11 @@ class BoundGauss(BoundWorkload):
     # recovery
     # ------------------------------------------------------------------
 
-    def recovery_threads(self) -> List[ThreadGen]:
+    def recovery_threads(self, variant: str) -> List[ThreadGen]:
+        # One conservative path for every variant: replay from the
+        # pristine input up to the highest stage with a matching
+        # region (none for ep, which commits no checksums).
+        self.spec.check_variant(variant)
         return [self._recover(tid) for tid in range(self.num_threads)]
 
     def _recover(self, tid: int) -> ThreadGen:
@@ -214,7 +177,7 @@ class BoundGauss(BoundWorkload):
         yield Barrier()
 
         resume_from = 0 if frontier is None else frontier + 1
-        yield from self._worker(VARIANT_LP, tid, start_pivot=resume_from)
+        yield from self._worker(SCHEME_LP, tid, start_pivot=resume_from)
 
     def _region_matches(
         self, k: int, block: int
@@ -234,33 +197,34 @@ class BoundGauss(BoundWorkload):
         """Restore A from the pristine input, apply stages 0..frontier,
         persist eagerly, and recommit the frontier checksums."""
         n = self.spec.n
+        addr = self.a.addr
         yield RegionMark(f"gauss:recover:replay:f{frontier}")
 
         # 1. restore A = P (elimination reads A in place, so stage 0
         #    must see the pristine values everywhere).
         for i in range(n):
             for j in range(n):
-                v = yield from self.pristine.read(i, j)
-                yield from self.a.write(i, j, v)
+                v = yield Load(self.pristine.addr(i, j))
+                yield Store(addr(i, j), v)
 
         # 2. replay stages 0..frontier with plain stores (arch state);
         #    the frontier stage's values are kept for its checksums.
         redone: List[List[float]] = [[] for _ in range(self.spec.num_blocks)]
         for k in range(0 if frontier is None else frontier + 1):
-            pivot = yield from self.a.read(k, k)
+            pivot = yield Load(addr(k, k))
             for i in range(k + 1, n):
                 block = i // self.spec.row_block
-                aik = yield from self.a.read(i, k)
+                aik = yield Load(addr(i, k))
                 factor = aik / pivot
                 yield Compute(1)
-                yield from self.a.write(i, k, factor)
+                yield Store(addr(i, k), factor)
                 if k == frontier:
                     redone[block].append(factor)
                 for j in range(k + 1, n):
-                    akj = yield from self.a.read(k, j)
-                    aij = yield from self.a.read(i, j)
+                    akj = yield Load(addr(k, j))
+                    aij = yield Load(addr(i, j))
                     updated = aij - factor * akj
-                    yield from self.a.write(i, j, updated)
+                    yield Store(addr(i, j), updated)
                     if k == frontier:
                         redone[block].append(updated)
                 yield Compute(2 * (n - k - 1))
@@ -292,3 +256,32 @@ class BoundGauss(BoundWorkload):
 
     def output(self, persistent: bool = False) -> np.ndarray:
         return self.a.to_numpy(persistent=persistent)
+
+
+@register
+class GaussElimination(Workload):
+    """In-place elimination: A becomes U above the diagonal, the
+    multipliers (L factors) below it."""
+
+    name = "gauss"
+    bound = BoundGauss
+    variants = (SCHEME_BASE, SCHEME_LP, SCHEME_EP)
+
+    def __init__(
+        self,
+        n: int = 48,
+        row_block: int = 4,
+        pivots: Optional[int] = None,
+        seed: int = 13,
+    ) -> None:
+        if n % row_block != 0:
+            raise WorkloadError(f"n={n} not divisible by row_block={row_block}")
+        self.n = n
+        self.row_block = row_block
+        self.num_blocks = n // row_block
+        #: Simulation window: number of pivot columns (the paper's
+        #: simulation passes over 4 columns of a 4096-wide matrix).
+        self.pivots = n - 1 if pivots is None else pivots
+        if not 1 <= self.pivots <= n - 1:
+            raise WorkloadError(f"pivots={pivots} out of range [1, {n - 1}]")
+        self.seed = seed

@@ -8,8 +8,9 @@ loads, computes, tracked stores).  The persistency-scheme layer
 (:mod:`repro.schemes`) then supplies, for free:
 
 * every registered scheme's forward protocol (``threads(variant)``),
-* a generic per-scheme crash recovery (``recovery_threads_for``) that
-  blindly redoes declared writes from the scheme's restart frontier,
+* a generic per-scheme crash recovery (``recovery_threads(variant)``)
+  that blindly redoes declared writes from the scheme's restart
+  frontier,
 * uniform scheme metadata allocation (checksum table, markers, WAL
   logs, write-behind journals) across create/rebind.
 
@@ -78,8 +79,7 @@ class BoundRegionWorkload(BoundWorkload):
     """
 
     def __init__(self, spec, machine: Machine, num_threads, engine, create):
-        super().__init__(machine, num_threads, engine)
-        self.spec = spec
+        super().__init__(spec, machine, num_threads, engine)
         self._bind_data(create)
         self.plans: List[List[RegionDecl]] = [
             self.plan(tid) for tid in range(num_threads)
@@ -120,9 +120,6 @@ class BoundRegionWorkload(BoundWorkload):
         self.spec.check_variant(variant)
         return get_scheme(variant).forward_threads(self)
 
-    def recovery_threads(self) -> List[ThreadGen]:
-        return get_scheme(SCHEME_LP).recovery_threads(self)
-
-    def recovery_threads_for(self, variant: str) -> List[ThreadGen]:
+    def recovery_threads(self, variant: str) -> List[ThreadGen]:
         self.spec.check_variant(variant)
         return get_scheme(variant).recovery_threads(self)

@@ -35,10 +35,10 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.schemes import RegionContext, RegionDecl, timed_load
+from repro.schemes import RegionContext, RegionDecl
 from repro.sim.address import Region
-from repro.sim.isa import Compute
-from repro.sim.machine import Machine, ThreadGen
+from repro.sim.isa import Compute, Load
+from repro.sim.machine import ThreadGen
 from repro.workloads.arrays import PArray, PMatrix
 from repro.workloads.regional import BoundRegionWorkload, RegionWorkload
 from repro.workloads.registry import register
@@ -50,48 +50,6 @@ _VALUE_SPAN = 8
 
 #: Per-thread seed stride (any odd prime keeps thread streams apart).
 _THREAD_SEED_STRIDE = 7919
-
-
-@register
-class AppendLog(RegionWorkload):
-    """Per-thread append-only log of fixed-width records."""
-
-    name = "log"
-
-    def __init__(
-        self,
-        records: int = 16,
-        width: int = 4,
-        seed: int = 7,
-        wb_batch: int = 4,
-    ) -> None:
-        if records < 1:
-            raise WorkloadError(f"records must be >= 1, got {records}")
-        if width < 1:
-            raise WorkloadError(f"width must be >= 1, got {width}")
-        if wb_batch < 1:
-            raise WorkloadError(f"wb_batch must be >= 1, got {wb_batch}")
-        self.records = records
-        self.width = width
-        self.seed = seed
-        self.wb_batch = wb_batch
-
-    def record_values(self, tid: int) -> List[List[float]]:
-        """Thread ``tid``'s record payloads (deterministic per spec)."""
-        rng = random.Random(self.seed + _THREAD_SEED_STRIDE * tid)
-        return [
-            [float(rng.randint(-_VALUE_SPAN, _VALUE_SPAN)) for _ in range(self.width)]
-            for _ in range(self.records)
-        ]
-
-    def bind(
-        self,
-        machine: Machine,
-        num_threads: int = 1,
-        engine: str = "modular",
-        create: bool = True,
-    ) -> "BoundAppendLog":
-        return BoundAppendLog(self, machine, num_threads, engine, create)
 
 
 class BoundAppendLog(BoundRegionWorkload):
@@ -130,7 +88,7 @@ class BoundAppendLog(BoundRegionWorkload):
     def region_body(
         self, tid: int, decl: RegionDecl, ctx: RegionContext
     ) -> ThreadGen:
-        head = yield from timed_load(self.heads[tid].base)
+        head = yield Load(self.heads[tid].base)
         if int(head) != decl.seq:
             raise WorkloadError(
                 f"log thread {tid}: head reads {head!r} before append "
@@ -166,10 +124,119 @@ class BoundAppendLog(BoundRegionWorkload):
 
 
 @register
+class AppendLog(RegionWorkload):
+    """Per-thread append-only log of fixed-width records."""
+
+    name = "log"
+    bound = BoundAppendLog
+
+    def __init__(
+        self,
+        records: int = 16,
+        width: int = 4,
+        seed: int = 7,
+        wb_batch: int = 4,
+    ) -> None:
+        if records < 1:
+            raise WorkloadError(f"records must be >= 1, got {records}")
+        if width < 1:
+            raise WorkloadError(f"width must be >= 1, got {width}")
+        if wb_batch < 1:
+            raise WorkloadError(f"wb_batch must be >= 1, got {wb_batch}")
+        self.records = records
+        self.width = width
+        self.seed = seed
+        self.wb_batch = wb_batch
+
+    def record_values(self, tid: int) -> List[List[float]]:
+        """Thread ``tid``'s record payloads (deterministic per spec)."""
+        rng = random.Random(self.seed + _THREAD_SEED_STRIDE * tid)
+        return [
+            [float(rng.randint(-_VALUE_SPAN, _VALUE_SPAN)) for _ in range(self.width)]
+            for _ in range(self.records)
+        ]
+
+
+class BoundPersistentHashmap(BoundRegionWorkload):
+    def _bind_data(self, create: bool) -> None:
+        spec = self.spec
+        self.slot_keys: List[PArray] = [
+            PArray(self.machine, f"hashmap.keys.{t}", spec.capacity, create=create)
+            for t in range(self.num_threads)
+        ]
+        self.slot_vals: List[PArray] = [
+            PArray(self.machine, f"hashmap.vals.{t}", spec.capacity, create=create)
+            for t in range(self.num_threads)
+        ]
+        self.put_sequences = [
+            spec.puts(t) for t in range(self.num_threads)
+        ]
+
+    def plan(self, tid: int) -> List[RegionDecl]:
+        decls = []
+        for i, (key, value, slot) in enumerate(self.put_sequences[tid]):
+            writes = (
+                (self.slot_keys[tid].addr(slot), float(key)),
+                (self.slot_vals[tid].addr(slot), value),
+            )
+            decls.append(
+                RegionDecl(seq=i, label=f"put{i}", writes=writes)
+            )
+        return decls
+
+    def region_body(
+        self, tid: int, decl: RegionDecl, ctx: RegionContext
+    ) -> ThreadGen:
+        key, value, declared_slot = self.put_sequences[tid][decl.seq]
+        capacity = self.spec.capacity
+        slot = key % capacity
+        while True:
+            current = yield Load(self.slot_keys[tid].addr(slot))
+            if current == 0.0 or current == float(key):
+                break
+            slot = (slot + 1) % capacity
+        if slot != declared_slot:
+            raise WorkloadError(
+                f"hashmap thread {tid} put {decl.seq}: probe landed in "
+                f"slot {slot}, plan declared {declared_slot}"
+            )
+        yield from ctx.store(self.slot_keys[tid].addr(slot), float(key))
+        yield from ctx.store(self.slot_vals[tid].addr(slot), value)
+        yield Compute(1)
+
+    # -- verification --------------------------------------------------------
+
+    def reference(self) -> np.ndarray:
+        parts = []
+        for tid in range(self.num_threads):
+            keys = [0.0] * self.spec.capacity
+            vals = [0.0] * self.spec.capacity
+            for key, value, slot in self.put_sequences[tid]:
+                keys[slot] = float(key)
+                vals[slot] = value
+            parts.append(np.array(keys + vals, dtype=np.float64))
+        return np.concatenate(parts)
+
+    def output(self, persistent: bool = False) -> np.ndarray:
+        parts = []
+        for tid in range(self.num_threads):
+            parts.append(
+                np.concatenate(
+                    [
+                        self.slot_keys[tid].to_numpy(persistent=persistent),
+                        self.slot_vals[tid].to_numpy(persistent=persistent),
+                    ]
+                )
+            )
+        return np.concatenate(parts)
+
+
+@register
 class PersistentHashmap(RegionWorkload):
     """Per-thread open-addressed (linear-probe) persistent hashmap."""
 
     name = "hashmap"
+    bound = BoundPersistentHashmap
 
     def __init__(
         self,
@@ -216,86 +283,3 @@ class PersistentHashmap(RegionWorkload):
             table[slot] = key
             sequence.append((key, value, slot))
         return sequence
-
-    def bind(
-        self,
-        machine: Machine,
-        num_threads: int = 1,
-        engine: str = "modular",
-        create: bool = True,
-    ) -> "BoundPersistentHashmap":
-        return BoundPersistentHashmap(self, machine, num_threads, engine, create)
-
-
-class BoundPersistentHashmap(BoundRegionWorkload):
-    def _bind_data(self, create: bool) -> None:
-        spec = self.spec
-        self.slot_keys: List[PArray] = [
-            PArray(self.machine, f"hashmap.keys.{t}", spec.capacity, create=create)
-            for t in range(self.num_threads)
-        ]
-        self.slot_vals: List[PArray] = [
-            PArray(self.machine, f"hashmap.vals.{t}", spec.capacity, create=create)
-            for t in range(self.num_threads)
-        ]
-        self.put_sequences = [
-            spec.puts(t) for t in range(self.num_threads)
-        ]
-
-    def plan(self, tid: int) -> List[RegionDecl]:
-        decls = []
-        for i, (key, value, slot) in enumerate(self.put_sequences[tid]):
-            writes = (
-                (self.slot_keys[tid].addr(slot), float(key)),
-                (self.slot_vals[tid].addr(slot), value),
-            )
-            decls.append(
-                RegionDecl(seq=i, label=f"put{i}", writes=writes)
-            )
-        return decls
-
-    def region_body(
-        self, tid: int, decl: RegionDecl, ctx: RegionContext
-    ) -> ThreadGen:
-        key, value, declared_slot = self.put_sequences[tid][decl.seq]
-        capacity = self.spec.capacity
-        slot = key % capacity
-        while True:
-            current = yield from timed_load(self.slot_keys[tid].addr(slot))
-            if current == 0.0 or current == float(key):
-                break
-            slot = (slot + 1) % capacity
-        if slot != declared_slot:
-            raise WorkloadError(
-                f"hashmap thread {tid} put {decl.seq}: probe landed in "
-                f"slot {slot}, plan declared {declared_slot}"
-            )
-        yield from ctx.store(self.slot_keys[tid].addr(slot), float(key))
-        yield from ctx.store(self.slot_vals[tid].addr(slot), value)
-        yield Compute(1)
-
-    # -- verification --------------------------------------------------------
-
-    def reference(self) -> np.ndarray:
-        parts = []
-        for tid in range(self.num_threads):
-            keys = [0.0] * self.spec.capacity
-            vals = [0.0] * self.spec.capacity
-            for key, value, slot in self.put_sequences[tid]:
-                keys[slot] = float(key)
-                vals[slot] = value
-            parts.append(np.array(keys + vals, dtype=np.float64))
-        return np.concatenate(parts)
-
-    def output(self, persistent: bool = False) -> np.ndarray:
-        parts = []
-        for tid in range(self.num_threads):
-            parts.append(
-                np.concatenate(
-                    [
-                        self.slot_keys[tid].to_numpy(persistent=persistent),
-                        self.slot_vals[tid].to_numpy(persistent=persistent),
-                    ]
-                )
-            )
-        return np.concatenate(parts)

@@ -62,11 +62,11 @@ from repro.core.region import RegionChecksum
 from repro.core.wal import WriteAheadLog
 from repro.workloads.arrays import PMatrix
 from repro.schemes import (
-    SCHEME_BASE as VARIANT_BASE,
-    SCHEME_EP as VARIANT_EP,
+    SCHEME_BASE,
+    SCHEME_EP,
     SCHEME_EP_NOFENCE,
-    SCHEME_LP as VARIANT_LP,
-    SCHEME_WAL as VARIANT_WAL,
+    SCHEME_LP,
+    SCHEME_WAL,
 )
 from repro.workloads.base import (
     BoundWorkload,
@@ -79,18 +79,6 @@ GRANULARITIES = ("jj", "ii", "kk")
 REPAIR_MODES = ("scratch", "incremental")
 CHECKSUM_ORGS = ("table", "embedded")
 
-#: Fault-injection variant: EagerRecompute with the data fence before
-#: the progress-marker commit removed.  The marker's own flush can then
-#: persist ahead of the tile's data flushes, so an image exists where
-#: the marker claims a tile that is not durable — marker-trusting
-#: recovery produces wrong output on it.  The crash checker must find
-#: and minimize exactly that image (the plain single-image crash path
-#: cannot: the simulated schedule persists data and marker together).
-#: The name (like every variant name) comes from the scheme registry;
-#: the implementation is native to this kernel.
-VARIANT_EP_NOFENCE = SCHEME_EP_NOFENCE
-
-
 class _Region(NamedTuple):
     """One LP region of a kk pass, as recovery sees it: the row-blocks
     (ii tiles) it covers, its jj tile at ``"jj"`` granularity (None
@@ -102,83 +90,18 @@ class _Region(NamedTuple):
     slot: int
 
 
-@register
-class TiledMatMul(Workload):
-    """c = a @ b with bsize x bsize tiles (Figure 4)."""
-
-    name = "tmm"
-    variants = (VARIANT_BASE, VARIANT_LP, VARIANT_EP, VARIANT_WAL)
-    broken_variants = (VARIANT_EP_NOFENCE,)
-
-    def __init__(
-        self,
-        n: int = 96,
-        bsize: int = 8,
-        seed: int = 7,
-        kk_tiles: Optional[int] = None,
-        granularity: str = "ii",
-        repair: str = "scratch",
-        checksum_org: str = "table",
-        eager_checksum: bool = False,
-    ) -> None:
-        if n % bsize != 0:
-            raise WorkloadError(f"n={n} not divisible by bsize={bsize}")
-        if granularity not in GRANULARITIES:
-            raise WorkloadError(
-                f"granularity {granularity!r} not in {GRANULARITIES}"
-            )
-        if repair not in REPAIR_MODES:
-            raise WorkloadError(f"repair {repair!r} not in {REPAIR_MODES}")
-        if checksum_org not in CHECKSUM_ORGS:
-            raise WorkloadError(
-                f"checksum_org {checksum_org!r} not in {CHECKSUM_ORGS}"
-            )
-        if checksum_org == "embedded" and granularity != "ii":
-            raise WorkloadError(
-                "the embedded organization (Fig 7a) is defined for the "
-                "paper's ii-granularity regions"
-            )
-        self.n = n
-        self.bsize = bsize
-        self.seed = seed
-        self.tiles = n // bsize
-        self.granularity = granularity
-        self.repair = repair
-        self.checksum_org = checksum_org
-        #: Section III-D's alternative: persist each checksum eagerly
-        #: (flush + fence at every commit).  Removes the Figure 6 "R3"
-        #: false negative at the cost of paying Eager Persistency for
-        #: the checksum itself; the paper chooses lazy (False).
-        self.eager_checksum = eager_checksum
-        #: Simulation window: number of kk tiles to execute (the paper
-        #: simulates 2 of 64 for its timing runs).  None = all.
-        self.kk_tiles = self.tiles if kk_tiles is None else kk_tiles
-        if not 1 <= self.kk_tiles <= self.tiles:
-            raise WorkloadError(f"kk_tiles={kk_tiles} out of range")
-
-    def bind(
-        self,
-        machine: Machine,
-        num_threads: int = 1,
-        engine: str = "modular",
-        create: bool = True,
-    ) -> "BoundTMM":
-        return BoundTMM(self, machine, num_threads, engine, create)
-
-
 class BoundTMM(BoundWorkload):
     """A TMM instance bound to one machine."""
 
     def __init__(
         self,
-        spec: TiledMatMul,
+        spec: "TiledMatMul",
         machine: Machine,
         num_threads: int,
         engine: str,
         create: bool,
     ) -> None:
-        super().__init__(machine, num_threads, engine)
-        self.spec = spec
+        super().__init__(spec, machine, num_threads, engine)
         n, b, T = spec.n, spec.bsize, spec.tiles
         self.a = PMatrix(machine, "tmm.a", n, n, create=create)
         self.b = PMatrix(machine, "tmm.b", n, n, create=create)
@@ -313,7 +236,7 @@ class BoundTMM(BoundWorkload):
     def _worker(
         self, variant: str, tid: int, start_kk_tile: int
     ) -> ThreadGen:
-        lp_kk = variant == VARIANT_LP and self.spec.granularity == "kk"
+        lp_kk = variant == SCHEME_LP and self.spec.granularity == "kk"
         for kkt in range(start_kk_tile, self.spec.kk_tiles):
             yield from self.tag(f"kk{kkt}")
             outer_ck = self.lp.begin_region() if lp_kk else None
@@ -343,13 +266,13 @@ class BoundTMM(BoundWorkload):
         n, b, T = spec.n, spec.bsize, spec.tiles
         kk, ii = kkt * b, iit * b
         gran = spec.granularity
-        if variant in (VARIANT_EP, VARIANT_EP_NOFENCE):
+        if variant in (SCHEME_EP, SCHEME_EP_NOFENCE):
             for jjt in range(T):
                 yield from self._ep_tile(variant, tid, kkt, iit, jjt)
             return
         ck: Optional[RegionChecksum] = None
         wal_writes: List[tuple] = []
-        if variant == VARIANT_LP:
+        if variant == SCHEME_LP:
             if gran == "kk":
                 ck = outer_ck
             elif gran == "ii":
@@ -358,7 +281,7 @@ class BoundTMM(BoundWorkload):
         a_addr, b_addr, c_addr = self.a.addr, self.b.addr, self.c.addr
         for jjt in range(T):
             jj = jjt * b
-            if variant == VARIANT_LP and gran == "jj":
+            if variant == SCHEME_LP and gran == "jj":
                 ck = self.lp.begin_region()
             for i in range(ii, ii + b):
                 for j in range(jj, jj + b):
@@ -368,26 +291,26 @@ class BoundTMM(BoundWorkload):
                         bv = yield Load(b_addr(k, j))
                         s += av * bv
                     yield Compute(2 * b)  # the k-loop multiply-adds
-                    if variant == VARIANT_WAL:
+                    if variant == SCHEME_WAL:
                         wal_writes.append((c_addr(i, j), s))
                     else:
                         yield Store(c_addr(i, j), s)
                     if ck is not None:
-                        yield from ck.update(s)  # UpdateCheckSum(c[i][j])
-            if variant == VARIANT_LP and gran == "jj":
+                        yield ck.update(s)  # UpdateCheckSum(c[i][j])
+            if variant == SCHEME_LP and gran == "jj":
                 assert ck is not None
                 yield from self.lp.commit_slot(
                     self._slot_addr(kkt, iit, jjt, tid), ck.value,
                     eager=self.spec.eager_checksum,
                 )
 
-        if variant == VARIANT_LP and gran == "ii":
+        if variant == SCHEME_LP and gran == "ii":
             assert ck is not None
             yield from self.lp.commit_slot(
                 self._slot_addr(kkt, iit, None, tid), ck.value,
                 eager=self.spec.eager_checksum,
             )
-        elif variant == VARIANT_WAL:
+        elif variant == SCHEME_WAL:
             # The progress marker commits inside the transaction so a
             # rollback restores it together with the data it describes.
             wal_writes.append(
@@ -400,16 +323,19 @@ class BoundTMM(BoundWorkload):
     ) -> Generator[Op, Optional[float], None]:
         """One EagerRecompute tile: compute + flush the rows, fence the
         data, then durably bump the progress marker ("a transaction
-        covers a single tile").  The ``ep_nofence`` fault drops the data
-        fence, letting the marker's flush race ahead of the data's."""
+        covers a single tile").
+
+        ``ep_nofence`` is this tile with the data fence dropped, a
+        fault-injection variant native to this kernel.  The marker's
+        own flush can then persist ahead of the tile's data flushes, so
+        an image exists where the marker claims a tile that is not
+        durable, and marker-trusting recovery produces wrong output on
+        it.  The crash checker must find and minimize exactly that
+        image; the plain single-image crash path cannot, because the
+        simulated schedule persists data and marker together."""
         spec = self.spec
         b, T = spec.bsize, spec.tiles
         kk, ii, jj = kkt * b, iit * b, jjt * b
-        # Loads/stores are yielded directly (not via the PMatrix
-        # generator helpers): the innermost loop runs for every image
-        # of every crash-state check, and one sub-generator frame per
-        # element access is the difference between the campaign being
-        # interactive or not.  The op stream is identical either way.
         a_addr, b_addr, c_addr = self.a.addr, self.b.addr, self.c.addr
         for i in range(ii, ii + b):
             for j in range(jj, jj + b):
@@ -423,7 +349,7 @@ class BoundTMM(BoundWorkload):
             # EagerRecompute: persist the finished row stride
             # (bsize elements = one clflushopt per covered line).
             yield from persist_addrs(self.c.row_addrs(i, jj, jj + b))
-        if variant == VARIANT_EP:
+        if variant == SCHEME_EP:
             # wait for the tile's flushes before claiming progress
             yield Fence()
         yield from durable_store(
@@ -463,17 +389,18 @@ class BoundTMM(BoundWorkload):
     # recovery (Figure 9)
     # ------------------------------------------------------------------
 
-    def recovery_threads(self) -> List[ThreadGen]:
-        return [self._recover(tid) for tid in range(self.num_threads)]
-
-    def recovery_threads_for(self, variant: str) -> List[ThreadGen]:
-        if variant in (VARIANT_EP, VARIANT_EP_NOFENCE):
-            return [self._recover_ep(tid) for tid in range(self.num_threads)]
-        if variant == VARIANT_WAL:
-            return [self._recover_wal(tid) for tid in range(self.num_threads)]
-        # lp (and base, which has no recovery story of its own) uses the
-        # checksum scan: it rebuilds from any reachable image.
-        return self.recovery_threads()
+    def recovery_threads(self, variant: str) -> List[ThreadGen]:
+        self.spec.check_variant(variant)
+        if variant in (SCHEME_EP, SCHEME_EP_NOFENCE):
+            recover = self._recover_ep
+        elif variant == SCHEME_WAL:
+            recover = self._recover_wal
+        else:
+            # lp (and base, which has no recovery story of its own)
+            # uses the checksum scan: it rebuilds from any reachable
+            # image.
+            recover = self._recover
+        return [recover(tid) for tid in range(self.num_threads)]
 
     def _recover_ep(self, tid: int) -> ThreadGen:
         """Marker-trusting EagerRecompute recovery.
@@ -512,7 +439,7 @@ class BoundTMM(BoundWorkload):
             yield from self._ep_repair_tile(iit, jjt, last)
         # Resume EagerRecompute (with its fences) after the marker.
         for kkt, iit, jjt in order[done_pos:]:
-            yield from self._ep_tile(VARIANT_EP, tid, kkt, iit, jjt)
+            yield from self._ep_tile(SCHEME_EP, tid, kkt, iit, jjt)
 
     def _ep_repair_tile(
         self, iit: int, jjt: int, last_kkt: Optional[int]
@@ -550,7 +477,7 @@ class BoundTMM(BoundWorkload):
             if kkt * T + iit <= done:
                 continue
             yield RegionMark(f"tmm:wal:resume:kk{kkt}:ii{iit}")
-            yield from self._region(VARIANT_WAL, tid, kkt, iit, None)
+            yield from self._region(SCHEME_WAL, tid, kkt, iit, None)
 
     def _recover(self, tid: int) -> ThreadGen:
         """Reverse-scan, repair own blocks, resume normal execution."""
@@ -597,7 +524,7 @@ class BoundTMM(BoundWorkload):
 
         # 3. resume normal (Lazy) execution after the frontier.
         resume_from = 0 if frontier is None else frontier + 1
-        yield from self._worker(VARIANT_LP, tid, start_kk_tile=resume_from)
+        yield from self._worker(SCHEME_LP, tid, start_kk_tile=resume_from)
 
     def _repair_block(
         self, iit: int, frontier: Optional[int]
@@ -626,20 +553,21 @@ class BoundTMM(BoundWorkload):
         k_lo = 0 if base_kkt is None else (base_kkt + 1) * b
 
         new_values: Dict[int, float] = {}
+        a_addr, b_addr, c_addr = self.a.addr, self.b.addr, self.c.addr
         for i in range(ii, ii + b):
             for j in range(n):
                 if base_kkt is None:
                     s = 0.0
                 else:
-                    s = yield from self.c.read(i, j)
+                    s = yield Load(c_addr(i, j))
                 for k in range(k_lo, k_hi):
-                    av = yield from self.a.read(i, k)
-                    bv = yield from self.b.read(k, j)
+                    av = yield Load(a_addr(i, k))
+                    bv = yield Load(b_addr(k, j))
                     s += av * bv
                 if k_hi > k_lo:
                     yield Compute(2 * (k_hi - k_lo))
-                yield from self.c.write(i, j, s)
-                new_values[self.c.addr(i, j)] = s
+                yield Store(c_addr(i, j), s)
+                new_values[c_addr(i, j)] = s
         # persist the repaired block eagerly (forward progress)
         yield from persist_region(list(new_values))
         return new_values
@@ -664,3 +592,59 @@ class BoundTMM(BoundWorkload):
         if self.spec.checksum_org == "embedded":
             return self.spec.n * self.spec.tiles * 8
         return self.lp.space_overhead_bytes
+
+
+@register
+class TiledMatMul(Workload):
+    """c = a @ b with bsize x bsize tiles (Figure 4)."""
+
+    name = "tmm"
+    bound = BoundTMM
+    variants = (SCHEME_BASE, SCHEME_LP, SCHEME_EP, SCHEME_WAL)
+    broken_variants = (SCHEME_EP_NOFENCE,)
+
+    def __init__(
+        self,
+        n: int = 96,
+        bsize: int = 8,
+        seed: int = 7,
+        kk_tiles: Optional[int] = None,
+        granularity: str = "ii",
+        repair: str = "scratch",
+        checksum_org: str = "table",
+        eager_checksum: bool = False,
+    ) -> None:
+        if n % bsize != 0:
+            raise WorkloadError(f"n={n} not divisible by bsize={bsize}")
+        if granularity not in GRANULARITIES:
+            raise WorkloadError(
+                f"granularity {granularity!r} not in {GRANULARITIES}"
+            )
+        if repair not in REPAIR_MODES:
+            raise WorkloadError(f"repair {repair!r} not in {REPAIR_MODES}")
+        if checksum_org not in CHECKSUM_ORGS:
+            raise WorkloadError(
+                f"checksum_org {checksum_org!r} not in {CHECKSUM_ORGS}"
+            )
+        if checksum_org == "embedded" and granularity != "ii":
+            raise WorkloadError(
+                "the embedded organization (Fig 7a) is defined for the "
+                "paper's ii-granularity regions"
+            )
+        self.n = n
+        self.bsize = bsize
+        self.seed = seed
+        self.tiles = n // bsize
+        self.granularity = granularity
+        self.repair = repair
+        self.checksum_org = checksum_org
+        #: Section III-D's alternative: persist each checksum eagerly
+        #: (flush + fence at every commit).  Removes the Figure 6 "R3"
+        #: false negative at the cost of paying Eager Persistency for
+        #: the checksum itself; the paper chooses lazy (False).
+        self.eager_checksum = eager_checksum
+        #: Simulation window: number of kk tiles to execute (the paper
+        #: simulates 2 of 64 for its timing runs).  None = all.
+        self.kk_tiles = self.tiles if kk_tiles is None else kk_tiles
+        if not 1 <= self.kk_tiles <= self.tiles:
+            raise WorkloadError(f"kk_tiles={kk_tiles} out of range")

@@ -57,7 +57,7 @@ def test_timed_check_agrees_with_table_matches(engine, written, committed, data)
     if committed:
         ck = lp.begin_region()
         for v in written:
-            ck.update_silent(v)
+            ck.update(v)
         m.run([lp.commit_slot(lp.table.slot_addr(1), ck.value, eager=True)])
     post = m.after_crash()
     lp = LPRuntime(post, "t", (2,), engine=engine, create=False)

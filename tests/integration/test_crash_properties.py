@@ -45,7 +45,7 @@ def test_tmm_recovery_exact_at_any_crash_point(at_op, timing):
         assert bound.verify()
         return
     rb = wl.bind(post, num_threads=2, create=False)
-    post.run(rb.recovery_threads())
+    post.run(rb.recovery_threads("lp"))
     assert rb.verify()
 
 
@@ -65,7 +65,7 @@ def test_tmm_recovery_exact_with_cleaner(at_op, period, timing):
         assert bound.verify()
         return
     rb = wl.bind(post, num_threads=2, create=False)
-    post.run(rb.recovery_threads())
+    post.run(rb.recovery_threads("lp"))
     assert rb.verify()
 
 
@@ -80,7 +80,7 @@ def test_conv2d_recovery_exact_at_any_crash_point(at_op, timing):
         assert bound.verify()
         return
     rb = wl.bind(post, num_threads=2, create=False)
-    post.run(rb.recovery_threads())
+    post.run(rb.recovery_threads("lp"))
     assert rb.verify()
 
 

@@ -88,7 +88,7 @@ def test_tmm_recovery_exact_under_any_schedule(seed, at_op):
         assert bound.verify()
         return
     rb = wl.bind(post, num_threads=2, create=False)
-    post.run(rb.recovery_threads())
+    post.run(rb.recovery_threads("lp"))
     assert rb.verify()
 
 

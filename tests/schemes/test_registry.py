@@ -60,25 +60,26 @@ class TestNames:
 
 class TestVariantConstants:
     def test_workload_layer_reuses_scheme_constants(self):
-        # Satellite: the VARIANT_* names the workload layer exports are
-        # the registry's strings, not parallel copies.
-        from repro.workloads.base import (
-            VARIANT_BASE,
-            VARIANT_EP,
-            VARIANT_LP,
-            VARIANT_WAL,
-        )
+        # Every workload names its variants by the registry's names:
+        # sound-or-base ones it sweeps, broken ones it only crashchecks.
+        from repro.workloads import available_workloads, get_workload
 
-        assert VARIANT_BASE is SCHEME_BASE
-        assert VARIANT_LP is SCHEME_LP
-        assert VARIANT_EP is SCHEME_EP
-        assert VARIANT_WAL is SCHEME_WAL
+        for name in available_workloads():
+            cls = get_workload(name)
+            assert set(cls.variants) <= set(scheme_names()), name
+            assert not set(cls.variants) & set(broken_scheme_names()), name
+            assert set(cls.broken_variants) <= set(broken_scheme_names()), name
 
     def test_tmm_reuses_scheme_constants(self):
-        from repro.workloads.tmm import VARIANT_EP_NOFENCE, VARIANT_WAL
+        from repro.workloads.tmm import TiledMatMul
 
-        assert VARIANT_EP_NOFENCE is SCHEME_EP_NOFENCE
-        assert VARIANT_WAL is SCHEME_WAL
+        assert TiledMatMul.variants == (
+            SCHEME_BASE,
+            SCHEME_LP,
+            SCHEME_EP,
+            SCHEME_WAL,
+        )
+        assert TiledMatMul.broken_variants == (SCHEME_EP_NOFENCE,)
 
     def test_scheme_strings_are_the_cli_variant_values(self):
         assert SCHEME_BASE == "base"

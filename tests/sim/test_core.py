@@ -94,7 +94,7 @@ class TestFlushFence:
         core.execute(Fence())
         assert core.stats.fences == 1
         # nothing in flight afterwards
-        assert core.outstanding_drain_time() == core.clock
+        assert core.timer.outstanding_drain_time() == core.clock
 
     def test_fence_with_nothing_outstanding_is_free(self):
         core, _ = make_core()

@@ -1,16 +1,19 @@
-"""The commands the documentation shows must parse.
+"""The commands and quickstarts the documentation shows must work.
 
 Every ``python -m repro ...`` command in the user-facing docs is run
 through :func:`repro.cli.build_parser`, so a renamed or removed flag
-cannot leave a stale example behind.  One test id covers every
-document, so editing a doc never changes the suite's ids.
+cannot leave a stale example behind.  The Python quickstarts (README's
+fenced block and the package docstring's) are executed.  One test id
+covers each kind, so editing a doc never changes the suite's ids.
 """
 
 import glob
 import os
 import re
 import shlex
+import textwrap
 
+import repro
 from repro.cli import build_parser
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -92,3 +95,19 @@ def test_documented_commands_parse():
     assert not failures, "commands that no longer parse:\n" + "\n".join(
         failures
     )
+
+
+def quickstarts():
+    """(source, code) of README's fenced Python quickstart and of the
+    package docstring's ``Quickstart::`` block."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    section = readme.split("## Quickstart", 1)[1]
+    yield "README.md", section.split("```python\n", 1)[1].split("```", 1)[0]
+    block = repro.__doc__.split("Quickstart::\n", 1)[1]
+    yield "repro.__doc__", textwrap.dedent(block)
+
+
+def test_quickstarts_run():
+    for source, code in quickstarts():
+        exec(compile(code, source, "exec"), {})

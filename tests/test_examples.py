@@ -7,6 +7,7 @@ same analysis-layer entry points they call.
 
 import importlib.util
 import pathlib
+import sys
 
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
@@ -32,6 +33,15 @@ class TestQuickstart:
         module.main()
         out = capsys.readouterr().out
         assert "region consistent after crash? False" in out
+
+
+class TestTmmCrashRecovery:
+    def test_runs_to_completion(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["tmm_crash_recovery.py"])
+        load_example("tmm_crash_recovery.py").main()
+        out = capsys.readouterr().out
+        assert "blocks repaired" in out
+        assert out.rstrip().endswith("OK")
 
 
 class TestExampleHygiene:

@@ -196,7 +196,7 @@ class TestOneImageMode:
         rebound = workload.bind(
             post, num_threads=2, engine="modular", create=False
         )
-        recovery = post.run(rebound.recovery_threads_for(variant))
+        recovery = post.run(rebound.recovery_threads(variant))
         return (
             True,
             result.nvmm_writes,

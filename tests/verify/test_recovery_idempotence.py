@@ -38,7 +38,7 @@ CASES = [
 def recover(machine, workload, variant):
     """One recovery pass; returns the drained persistent image."""
     rebound = workload.bind(machine, num_threads=2, create=False)
-    machine.run(rebound.recovery_threads_for(variant))
+    machine.run(rebound.recovery_threads(variant))
     machine.drain()
     return rebound, dict(machine.mem.persistent)
 

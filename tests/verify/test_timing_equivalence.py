@@ -179,7 +179,7 @@ class TestReplayLoopMatchesGeneralScheduler:
             )
             rebound = wl.bind(post, num_threads=2, create=False)
             kwargs = {"op_limit": 10**9} if force_general else {}
-            result = post.run(rebound.recovery_threads_for("ep"), **kwargs)
+            result = post.run(rebound.recovery_threads("ep"), **kwargs)
             runs.append((result, post, rebound.verify()))
         (r_fast, m_fast, ok_fast), (r_gen, m_gen, ok_gen) = runs
         assert r_fast.ops_executed == r_gen.ops_executed

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.sim.config import CacheConfig, MachineConfig
+from repro.sim.isa import Load, Store
 from repro.sim.machine import Machine
 from repro.workloads.arrays import PArray, PMatrix
 
@@ -25,9 +26,9 @@ class TestPArray:
         arr = PArray(m, "x", 8)
 
         def kernel():
-            yield from arr.write(3, 7.5)
-            v = yield from arr.read(3)
-            yield from arr.write(4, v * 2)
+            yield Store(arr.addr(3), 7.5)
+            v = yield Load(arr.addr(3))
+            yield Store(arr.addr(4), v * 2)
 
         m.run([kernel()])
         assert arr.values()[3] == 7.5
@@ -101,9 +102,9 @@ class TestPMatrix:
         mat = PMatrix(m, "m", 2, 2)
 
         def kernel():
-            yield from mat.write(1, 1, 9.0)
-            v = yield from mat.read(1, 1)
-            yield from mat.write(0, 0, v + 1)
+            yield Store(mat.addr(1, 1), 9.0)
+            v = yield Load(mat.addr(1, 1))
+            yield Store(mat.addr(0, 0), v + 1)
 
         m.run([kernel()])
         assert mat.to_numpy()[0, 0] == 10.0

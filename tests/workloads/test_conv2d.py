@@ -95,7 +95,7 @@ class TestCrashRecovery:
         if not res.crashed:
             pytest.skip("workload finished before crash point")
         rb = wl.bind(post, num_threads=2, create=False)
-        post.run(rb.recovery_threads())
+        post.run(rb.recovery_threads("lp"))
         assert rb.verify()
 
     def test_idempotent_recovery_skips_consistent_blocks(self):
@@ -109,7 +109,7 @@ class TestCrashRecovery:
         rb = wl.bind(post, num_threads=2, create=False)
         marks = []
         post.on_mark = lambda mark, cid, clock: marks.append(mark.label)
-        post.run(rb.recovery_threads())
+        post.run(rb.recovery_threads("lp"))
         assert any(":recover:" in mark for mark in marks)
         assert not any(":redo:" in mark for mark in marks)
         assert rb.verify()

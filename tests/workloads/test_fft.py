@@ -78,7 +78,7 @@ class TestCrashRecovery:
         if not res.crashed:
             pytest.skip("finished before crash point")
         rb = wl.bind(post, num_threads=2, create=False)
-        post.run(rb.recovery_threads())
+        post.run(rb.recovery_threads("lp"))
         assert rb.verify()
 
     def test_recovery_resumes_from_survivor_stage(self):
@@ -92,7 +92,7 @@ class TestCrashRecovery:
         m.drain()
         post = m.after_crash()
         rb = wl.bind(post, num_threads=2, create=False)
-        rres = post.run(rb.recovery_threads())
+        rres = post.run(rb.recovery_threads("lp"))
         assert rb.verify()
         # scan only: far fewer ops than a full re-run
         full = 64 // 2 * wl.stages * 8

@@ -81,7 +81,7 @@ class TestCrashRecovery:
         if not res.crashed:
             pytest.skip("finished before crash point")
         rb = wl.bind(post, num_threads=2, create=False)
-        post.run(rb.recovery_threads())
+        post.run(rb.recovery_threads("lp"))
         assert rb.verify()
 
     def test_double_crash(self):
@@ -90,9 +90,9 @@ class TestCrashRecovery:
         bound = wl.bind(m, num_threads=2)
         _, post1 = run_with_crash(m, bound.threads("lp"), CrashPlan(at_op=2500))
         rb1 = wl.bind(post1, num_threads=2, create=False)
-        res2 = post1.run(rb1.recovery_threads(), crash_at_op=2000)
+        res2 = post1.run(rb1.recovery_threads("lp"), crash_at_op=2000)
         assert res2.crashed
         post2 = post1.after_crash()
         rb2 = wl.bind(post2, num_threads=2, create=False)
-        post2.run(rb2.recovery_threads())
+        post2.run(rb2.recovery_threads("lp"))
         assert rb2.verify()

@@ -119,7 +119,7 @@ class TestCrashRecovery:
         )
         assert result.crashed
         rebound = wl.bind(post, num_threads=2, create=False)
-        post.run(rebound.recovery_threads_for(variant))
+        post.run(rebound.recovery_threads(variant))
         assert rebound.verify()
         # Recovery is eager (paper III-E): the exact output must be in
         # the *persistent* image, not just architectural state.

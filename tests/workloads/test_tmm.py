@@ -119,7 +119,7 @@ class TestCrashRecovery:
         plan = CrashPlan(at_op=at_op) if at_mark is None else CrashPlan(at_mark=at_mark)
         result, post = run_with_crash(m, bound.threads("lp"), plan)
         rebound = wl.bind(post, num_threads=threads, create=False)
-        rres = post.run(rebound.recovery_threads())
+        rres = post.run(rebound.recovery_threads("lp"))
         return result, rres, rebound
 
     @pytest.mark.parametrize(
@@ -158,7 +158,7 @@ class TestCrashRecovery:
             )
             assert result.crashed
             rebound = wl.bind(post, num_threads=2, create=False)
-            rres = post.run(rebound.recovery_threads())
+            rres = post.run(rebound.recovery_threads("lp"))
             assert rebound.verify()
             costs.append(rres.ops_executed)
         assert costs[1] < costs[0]
@@ -171,12 +171,12 @@ class TestCrashRecovery:
         _, post1 = run_with_crash(m, bound.threads("lp"), CrashPlan(at_op=9000))
 
         rebound1 = wl.bind(post1, num_threads=2, create=False)
-        res2 = post1.run(rebound1.recovery_threads(), crash_at_op=7000)
+        res2 = post1.run(rebound1.recovery_threads("lp"), crash_at_op=7000)
         assert res2.crashed
         post2 = post1.after_crash()
 
         rebound2 = wl.bind(post2, num_threads=2, create=False)
-        post2.run(rebound2.recovery_threads())
+        post2.run(rebound2.recovery_threads("lp"))
         assert rebound2.verify()
 
     def test_no_crash_recovery_is_safe(self):
@@ -189,5 +189,5 @@ class TestCrashRecovery:
         m.drain()
         post = m.after_crash()  # graceful: NVMM == final state
         rebound = wl.bind(post, num_threads=2, create=False)
-        post.run(rebound.recovery_threads())
+        post.run(rebound.recovery_threads("lp"))
         assert rebound.verify()

@@ -62,7 +62,7 @@ class TestGranularities:
         if not res.crashed:
             pytest.skip("finished first")
         rb = wl.bind(post, num_threads=2, create=False)
-        post.run(rb.recovery_threads())
+        post.run(rb.recovery_threads("lp"))
         assert rb.verify()
 
     def test_jj_commits_more_checksums_than_ii(self):
@@ -108,7 +108,7 @@ class TestDrainedRecovery:
         rb = wl.bind(post, num_threads=2, create=False)
         marks = []
         post.on_mark = lambda mark, cid, clock: marks.append(mark.label)
-        res = post.run(rb.recovery_threads())
+        res = post.run(rb.recovery_threads("lp"))
         assert rb.verify()
         assert not [label for label in marks if ":repair:" in label]
         assert res.flush_ops == 0
@@ -125,7 +125,7 @@ class TestIncrementalRepair:
         res, post = run_with_crash(m, bound.threads("lp"), CrashPlan(at_op=at_op))
         assert res.crashed
         rb = wl.bind(post, num_threads=2, create=False)
-        rres = post.run(rb.recovery_threads())
+        rres = post.run(rb.recovery_threads("lp"))
         return rb, rres
 
     def test_incremental_recovers_exactly(self):
@@ -145,11 +145,11 @@ class TestIncrementalRepair:
         bound = wl.bind(m, num_threads=2)
         _, post1 = run_with_crash(m, bound.threads("lp"), CrashPlan(at_op=20000))
         rb1 = wl.bind(post1, num_threads=2, create=False)
-        r2 = post1.run(rb1.recovery_threads(), crash_at_op=5000)
+        r2 = post1.run(rb1.recovery_threads("lp"), crash_at_op=5000)
         assert r2.crashed
         post2 = post1.after_crash()
         rb2 = wl.bind(post2, num_threads=2, create=False)
-        post2.run(rb2.recovery_threads())
+        post2.run(rb2.recovery_threads("lp"))
         assert rb2.verify()
 
 
@@ -168,7 +168,7 @@ class TestEmbeddedOrganization:
         res, post = run_with_crash(m, bound.threads("lp"), CrashPlan(at_op=9000))
         assert res.crashed
         rb = wl.bind(post, num_threads=2, create=False)
-        post.run(rb.recovery_threads())
+        post.run(rb.recovery_threads("lp"))
         assert rb.verify()
 
     def test_output_excludes_checksum_columns(self):
