@@ -64,7 +64,7 @@ def main() -> None:
             ck.update(bar)  # already charged this iteration
             addrs += [c.addr(i), d.addr(i)]
         yield from persist_region(addrs)
-        yield from lp.table.commit_eager(ck.value, 0)
+        yield from lp.commit_slot(lp.table.slot_addr(0), ck.value, eager=True)
 
     post.run([recovery()])
 

@@ -26,7 +26,6 @@ Quickstart::
 from repro.errors import (
     AddressError,
     ConfigError,
-    RecoveryError,
     ReproError,
     SimulationError,
     WorkloadError,
@@ -51,7 +50,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AddressError",
     "ConfigError",
-    "RecoveryError",
     "ReproError",
     "SimulationError",
     "WorkloadError",

@@ -13,11 +13,10 @@ Slots are initialised to :data:`INVALID_CHECKSUM` so recovery can tell
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.sim.address import Region
-from repro.sim.isa import Op
 from repro.sim.machine import Machine
 from repro.core.checksum import ChecksumEngine
 
@@ -86,28 +85,7 @@ class ChecksumTable:
         """Element address of a key's (unique) table slot."""
         return self.region.addr(self.slot(*key))
 
-    # -- program-side ops (generators to ``yield from``) --------------------
-
-    def commit_lazy(
-        self, checksum: int, *key: int
-    ) -> Generator[Op, Optional[float], None]:
-        """Store a region's checksum with Lazy Persistency (Figure 8):
-        :meth:`repro.core.lazy.LPRuntime.commit_slot` on the key's slot."""
-        from repro.core.lazy import LPRuntime  # lazy.py imports this module
-
-        yield from LPRuntime.commit_slot(self.slot_addr(*key), checksum)
-
-    def commit_eager(
-        self, checksum: int, *key: int
-    ) -> Generator[Op, Optional[float], None]:
-        """Store + clflushopt + sfence (the Eager alternative of III-D)."""
-        from repro.core.lazy import LPRuntime
-
-        yield from LPRuntime.commit_slot(
-            self.slot_addr(*key), checksum, eager=True
-        )
-
-    # -- recovery-side inspection (no timing: runs on the NVMM image) -------
+    # -- untimed reference: reads the NVMM image, for checking recovery ----
 
     def persisted_checksum(self, *key: int) -> float:
         """The slot's value in the NVMM image (recovery view)."""

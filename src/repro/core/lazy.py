@@ -18,9 +18,8 @@ and recovery.  Each takes a checksum slot's element address, so it
 serves a table slot (``lp.table.slot_addr(*key)``) and a checksum
 embedded in the data (tmm's Figure 7a columns) alike:
 
-* :meth:`LPRuntime.committed` — has any checksum persisted there;
 * :meth:`LPRuntime.region_matches` — Figure 9's IsMatchingChecksum,
-  timed on the post-crash machine;
+  timed on the post-crash machine: the slot and the values are loads;
 * :meth:`LPRuntime.commit_slot` — the lazy or eager checksum store;
 * :meth:`LPRuntime.recommit` — the eager re-commit after Repair that
   keeps recovery re-entrant (section III-E).
@@ -55,7 +54,6 @@ class LPRuntime:
         self.table = ChecksumTable(
             machine, table_name, dims, self.engine, create=create
         )
-        self.machine = machine
 
     # -- normal execution ---------------------------------------------------
 
@@ -84,32 +82,25 @@ class LPRuntime:
 
     # -- recovery side --------------------------------------------------------
 
-    def committed(self, slot: int) -> bool:
-        """True if any checksum ever persisted at ``slot`` (untimed: it
-        reads the NVMM image)."""
-        return (
-            self.machine.mem.persisted(slot, INVALID_CHECKSUM)
-            != INVALID_CHECKSUM
-        )
-
     def region_matches(
         self, addrs: Iterable[int], slot: int
     ) -> Generator[Op, Optional[float], bool]:
-        """Figure 9's IsMatchingChecksum, timed: load the region's
-        values in checksum-update order, charge the whole fold as one
-        ``Compute``, load the slot and compare.
+        """Figure 9's IsMatchingChecksum, timed: load the slot, load the
+        region's values in checksum-update order, charge the whole fold
+        as one ``Compute`` and compare.
 
-        A slot that never committed returns False at once and issues no
-        op: the region needs recomputation either way.
+        A slot that never committed still holds ``INVALID_CHECKSUM`` and
+        fails after that one load: the region needs recomputation
+        either way.
         """
-        if not self.committed(slot):
+        stored = yield Load(slot)
+        if stored == INVALID_CHECKSUM:
             return False
         ck = self.begin_region()
         for addr in addrs:
             value = yield Load(addr)
             ck.update(value)
         yield Compute(ck.updates * self.engine.flops_per_update)
-        stored = yield Load(slot)
         return float(ck.value) == stored
 
     def recommit(

@@ -11,13 +11,19 @@ The log is an undo log: entries hold (address, old value).  On
 recovery, a persistent status of 1 means the crash hit between log
 validation and commit, so logged old values are restored (eagerly);
 status 0 means the data region is either untouched or fully committed.
+
+The scheme layer's write-behind journal is this layout used as a redo
+log: its entries hold the *new* values of one coalesced batch and its
+``seq`` header slot the batch's marker, and the same restore re-applies
+an interrupted batch instead of rolling a transaction back (a batch
+spans many regions, whose pre-images no log keeps).
 """
 
 from __future__ import annotations
 
 from typing import Generator, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigError, RecoveryError
+from repro.errors import ConfigError
 from repro.sim.isa import Fence, Flush, Load, Op, Store
 from repro.sim.machine import Machine
 from repro.core.eager import persist_addrs, persist_region
@@ -25,6 +31,7 @@ from repro.core.eager import persist_addrs, persist_region
 #: log header slots (share one line, so one flush covers the header)
 _STATUS = 0
 _COUNT = 1
+_SEQ = 2
 _HEADER_ELEMS = 8  # pad to a full line
 
 
@@ -36,18 +43,12 @@ class WriteAheadLog:
     ) -> None:
         if capacity <= 0:
             raise ConfigError("log capacity must be positive")
-        self.machine = machine
         self.capacity = capacity
-        # header line + (addr, old) pairs
+        # header line + (addr, value) pairs
         if create:
             self.region = machine.alloc(name, _HEADER_ELEMS + 2 * capacity)
         else:
             self.region = machine.region(name)
-
-    @classmethod
-    def attach(cls, machine: Machine, name: str, capacity: int) -> "WriteAheadLog":
-        """Re-attach to an existing log (post-crash recovery path)."""
-        return cls(machine, name, capacity, create=False)
 
     # -- addressing ---------------------------------------------------------
 
@@ -58,6 +59,11 @@ class WriteAheadLog:
     @property
     def count_addr(self) -> int:
         return self.region.addr(_COUNT)
+
+    @property
+    def seq_addr(self) -> int:
+        """Where a write-behind journal records its batch's marker."""
+        return self.region.addr(_SEQ)
 
     def entry_addrs(self, i: int) -> Tuple[int, int]:
         """(address-slot, value-slot) element addresses of entry i."""
@@ -105,25 +111,27 @@ class WriteAheadLog:
 
     # -- recovery -------------------------------------------------------------
 
-    def needs_recovery(self) -> bool:
-        """True if a crash interrupted a validated transaction."""
-        return self.machine.mem.persisted(self.status_addr, 0.0) == 1.0
+    def recovery_ops(self) -> Generator[Op, Optional[float], bool]:
+        """Write the logged values of an interrupted, validated
+        transaction back, then retire the log (Eager, forward-safe).
 
-    def recovery_ops(self) -> Generator[Op, Optional[float], None]:
-        """Roll back the interrupted transaction (Eager, forward-safe)."""
-        if not self.needs_recovery():
-            return
-        count = self.machine.mem.persisted(self.count_addr, 0.0)
+        Recovery code, so the status and count are timed loads.  Rolls
+        an undo log back and re-applies a redo journal; returns whether
+        the log held anything to restore.
+        """
+        status = yield Load(self.status_addr)
+        if status != 1.0:
+            return False
+        count = yield Load(self.count_addr)
         restored: List[int] = []
         for i in range(int(count)):
             a_addr, v_addr = self.entry_addrs(i)
             target = yield Load(a_addr)
-            old = yield Load(v_addr)
-            if target is None or old is None:
-                raise RecoveryError("log entry unreadable during recovery")
-            yield Store(int(target), old)
+            value = yield Load(v_addr)
+            yield Store(int(target), value)
             restored.append(int(target))
         yield from persist_region(restored)
         yield Store(self.status_addr, 0.0)
         yield Flush(self.status_addr)
         yield Fence()
+        return True

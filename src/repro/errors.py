@@ -24,9 +24,5 @@ class SimulationError(ReproError):
     """The simulator reached an inconsistent internal state."""
 
 
-class RecoveryError(ReproError):
-    """Recovery could not restore a consistent persistent state."""
-
-
 class WorkloadError(ReproError):
     """A workload was mis-parameterised or produced inconsistent output."""

@@ -108,19 +108,3 @@ class TraceRecorder(ProbeObserver):
                 continue
             counts[type(ev.op)] = counts.get(type(ev.op), 0) + 1
         return counts
-
-    @property
-    def last_cycle(self) -> float:
-        """Latest timestamp across every recorded event (0.0 if none)."""
-        candidates = [0.0]
-        if self.ops:
-            candidates.append(max(ev.end for ev in self.ops))
-        if self.stalls:
-            candidates.append(max(ev.start + ev.cycles for ev in self.stalls))
-        if self.writebacks:
-            candidates.append(max(ev.durable_time for ev in self.writebacks))
-        if self.nvmm_reads:
-            candidates.append(max(ev.data_ready for ev in self.nvmm_reads))
-        if self.cleaner_passes:
-            candidates.append(max(ev.cycle for ev in self.cleaner_passes))
-        return max(candidates)

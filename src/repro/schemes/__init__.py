@@ -12,7 +12,6 @@ from repro.schemes.compose import (
     RegionContext,
     RegionDecl,
     SchemeState,
-    WriteBehindJournal,
     validate_plans,
 )
 from repro.schemes.registry import (
@@ -43,7 +42,6 @@ __all__ = [
     "RegionContext",
     "RegionDecl",
     "SchemeState",
-    "WriteBehindJournal",
     "broken_scheme_names",
     "composable_scheme_names",
     "get_scheme",

@@ -18,9 +18,10 @@ reachable image, because the final value of every address is the value
 declared by its last writer.
 
 :class:`SchemeState` allocates the scheme metadata — checksum table,
-per-thread progress markers, WAL logs, write-behind journals — for
-*every* workload uniformly, so create/rebind and all schemes address
-identical regions.
+per-thread progress markers, WAL undo logs and write-behind redo
+journals (both :class:`~repro.core.wal.WriteAheadLog`s) — for *every*
+workload uniformly, so create/rebind and all schemes address identical
+regions.
 """
 
 from __future__ import annotations
@@ -87,67 +88,6 @@ class RegionContext:
         return (Store(int(addr), float(value)),)
 
 
-#: write-behind journal header slots (share one line, one flush each)
-_WBJ_STATUS = 0
-_WBJ_COUNT = 1
-_WBJ_SEQ = 2
-_WBJ_HEADER_ELEMS = 8  # pad to a full line
-
-
-class WriteBehindJournal:
-    """Per-thread redo journal for the write-behind scheme.
-
-    Unlike :class:`~repro.core.wal.WriteAheadLog` (an undo log of old
-    values), this journals the *new* coalesced values of one batch plus
-    the batch's publish sequence number: a crash between journal
-    validation and batch publication is repaired by re-applying the
-    journaled writes, never by rollback — write-behind batches span
-    many regions whose pre-images are long gone from any log.
-    """
-
-    def __init__(
-        self, machine: Machine, name: str, capacity: int, create: bool = True
-    ) -> None:
-        if capacity <= 0:
-            raise WorkloadError("journal capacity must be positive")
-        self.machine = machine
-        self.capacity = capacity
-        if create:
-            self.region: Region = machine.alloc(
-                name, _WBJ_HEADER_ELEMS + 2 * capacity
-            )
-        else:
-            self.region = machine.region(name)
-
-    # -- addressing ---------------------------------------------------------
-
-    @property
-    def status_addr(self) -> int:
-        return self.region.addr(_WBJ_STATUS)
-
-    @property
-    def count_addr(self) -> int:
-        return self.region.addr(_WBJ_COUNT)
-
-    @property
-    def seq_addr(self) -> int:
-        return self.region.addr(_WBJ_SEQ)
-
-    def entry_addrs(self, i: int) -> Tuple[int, int]:
-        """(address-slot, value-slot) element addresses of entry i."""
-        base = _WBJ_HEADER_ELEMS + 2 * i
-        return self.region.addr(base), self.region.addr(base + 1)
-
-    # -- recovery-side inspection (untimed, reads the NVMM image) -----------
-
-    def needs_redo(self) -> bool:
-        """True if a crash interrupted a validated batch publication."""
-        return self.machine.mem.persisted(self.status_addr, 0.0) == 1.0
-
-    def persisted_count(self) -> int:
-        return int(self.machine.mem.persisted(self.count_addr, 0.0))
-
-
 def _max_plan_len(plans: Sequence[Sequence[RegionDecl]]) -> int:
     return max((len(plan) for plan in plans), default=0)
 
@@ -197,8 +137,6 @@ class SchemeState:
     ) -> None:
         if wb_batch < 1:
             raise WorkloadError(f"wb_batch must be >= 1, got {wb_batch}")
-        self.machine = machine
-        self.num_threads = num_threads
         self.wb_batch = wb_batch
         self.lp = LPRuntime(
             machine,
@@ -210,30 +148,15 @@ class SchemeState:
         self.markers: List[Region] = progress_markers(
             machine, prefix, num_threads, create
         )
-        self.logs: List[WriteAheadLog] = [
-            WriteAheadLog(
-                machine,
-                f"{prefix}.wal.{t}",
-                capacity=max(2, _wal_capacity(plans)),
-                create=create,
-            )
-            for t in range(num_threads)
-        ]
-        self.journals: List[WriteBehindJournal] = [
-            WriteBehindJournal(
-                machine,
-                f"{prefix}.wbj.{t}",
-                capacity=_journal_capacity(plans, wb_batch),
-                create=create,
-            )
-            for t in range(num_threads)
-        ]
 
-    def marker_value(self, tid: int) -> int:
-        """The thread's persisted progress marker (recovery view)."""
-        return int(
-            self.machine.mem.persisted(self.markers[tid].base, -1.0)
-        )
+        def logs(kind: str, capacity: int) -> List[WriteAheadLog]:
+            return [
+                WriteAheadLog(machine, f"{prefix}.{kind}.{t}", capacity, create)
+                for t in range(num_threads)
+            ]
+
+        self.logs = logs("wal", max(2, _wal_capacity(plans)))
+        self.journals = logs("wbj", _journal_capacity(plans, wb_batch))
 
 
 def validate_plans(

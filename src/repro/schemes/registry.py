@@ -15,7 +15,8 @@ name maps to a :class:`PersistencyScheme` object carrying
 * the composed forward protocol — how one declared region's stores are
   made durable;
 * the generic recovery — find the scheme's restart frontier on the
-  post-crash image, then blindly redo the declared writes from there
+  post-crash machine, reading the image only through timed loads like
+  any recovery code, then blindly redo the declared writes from there
   with Eager Persistency (recovery must be eager for forward progress,
   paper section III-E).
 
@@ -239,7 +240,29 @@ class LazyScheme(PersistencyScheme):
         )
 
 
-class EagerScheme(PersistencyScheme):
+class MarkerScheme(PersistencyScheme):
+    """A scheme whose recovery trusts a durable per-thread progress
+    marker (EP, WAL, write-behind): repair the thread's log, load the
+    marker, redo every later region, then publish the last one."""
+
+    def _frontier(self, host, tid):
+        """Everything at or below the marker is durable."""
+        yield from self._repair_log(host, tid)
+        done = yield Load(host.scheme_state.markers[tid].base)
+        return int(done) + 1
+
+    def _repair_log(self, host, tid: int):
+        return
+        yield  # pragma: no cover - empty generator idiom
+
+    def _finalize_recovery(self, host, tid):
+        plan = host.plans[tid]
+        if plan:
+            marker = host.scheme_state.markers[tid]
+            yield from durable_store(marker.base, float(len(plan) - 1))
+
+
+class EagerScheme(MarkerScheme):
     """Eager Persistency: flush+fence every region, then a durable
     per-thread progress marker.
 
@@ -261,19 +284,8 @@ class EagerScheme(PersistencyScheme):
         marker = host.scheme_state.markers[tid]
         yield from durable_store(marker.base, float(decl.seq))
 
-    def _frontier(self, host, tid):
-        """Trust the marker: everything at or below it is durable."""
-        return host.scheme_state.marker_value(tid) + 1
-        yield  # pragma: no cover - untimed frontier
 
-    def _finalize_recovery(self, host, tid):
-        plan = host.plans[tid]
-        if plan:
-            marker = host.scheme_state.markers[tid]
-            yield from durable_store(marker.base, float(len(plan) - 1))
-
-
-class WalScheme(PersistencyScheme):
+class WalScheme(MarkerScheme):
     """Write-ahead logging: every region is one durable undo-log
     transaction (Figure 2), publishing data and marker atomically."""
 
@@ -289,20 +301,13 @@ class WalScheme(PersistencyScheme):
         writes = tuple(decl.writes) + ((marker.base, float(decl.seq)),)
         yield from host.scheme_state.logs[tid].transaction(writes)
 
-    def _frontier(self, host, tid):
-        """Roll back any interrupted transaction, then trust the
-        marker (restored by the rollback if it was in-flight)."""
+    def _repair_log(self, host, tid):
+        """Roll back an interrupted transaction, which restores the
+        marker it was publishing."""
         yield from host.scheme_state.logs[tid].recovery_ops()
-        return host.scheme_state.marker_value(tid) + 1
-
-    def _finalize_recovery(self, host, tid):
-        plan = host.plans[tid]
-        if plan:
-            marker = host.scheme_state.markers[tid]
-            yield from durable_store(marker.base, float(len(plan) - 1))
 
 
-class WriteBehindScheme(PersistencyScheme):
+class WriteBehindScheme(MarkerScheme):
     """Write-behind batching (the write-behind-cache pattern): stores
     coalesce in the volatile cache — the cache *is* the write-behind
     buffer — and every ``wb_batch`` regions the thread journals the
@@ -372,37 +377,13 @@ class WriteBehindScheme(PersistencyScheme):
             yield Flush(marker.base)
             yield Fence()
 
-    def _frontier(self, host, tid):
+    def _repair_log(self, host, tid):
         """Re-apply a validated in-flight batch from the journal, then
-        trust the batch marker."""
-        state = host.scheme_state
-        journal = state.journals[tid]
-        marker = state.markers[tid]
-        if self.journal and journal.needs_redo():
-            count = journal.persisted_count()
-            restored: List[int] = []
-            for i in range(count):
-                a_addr, v_addr = journal.entry_addrs(i)
-                target = yield Load(a_addr)
-                value = yield Load(v_addr)
-                yield Store(int(target), value)
-                restored.append(int(target))
-            yield from persist_region(restored)
-            seq = yield Load(journal.seq_addr)
-            yield Store(marker.base, seq)
-            yield Flush(marker.base)
-            yield Store(journal.status_addr, 0.0)
-            yield Flush(journal.status_addr)
-            yield Fence()
-        return state.marker_value(tid) + 1
-
-    def _finalize_recovery(self, host, tid):
-        plan = host.plans[tid]
-        if plan:
-            marker = host.scheme_state.markers[tid]
-            yield from durable_store(marker.base, float(len(plan) - 1))
+        publish the batch's marker."""
         journal = host.scheme_state.journals[tid]
-        yield from durable_store(journal.status_addr, 0.0)
+        if (yield from journal.recovery_ops()):
+            seq = yield Load(journal.seq_addr)
+            yield from durable_store(host.scheme_state.markers[tid].base, seq)
 
 
 class WriteBehindNoJournalScheme(WriteBehindScheme):

@@ -43,15 +43,12 @@ def integer_matrix(rng: random.Random, rows: int, cols: int, span: int = 4):
 class BoundWorkload(ABC):
     """A workload instance bound to one machine's regions."""
 
-    def __init__(
-        self, spec: "Workload", machine: Machine, num_threads: int, engine: str
-    ) -> None:
+    def __init__(self, spec: "Workload", machine: Machine, num_threads: int) -> None:
         if num_threads < 1:
             raise WorkloadError("need at least one thread")
         self.spec = spec
         self.machine = machine
         self.num_threads = num_threads
-        self.engine_name = engine
         #: Provenance tagging is opt-in: when off (the default) the op
         #: stream is byte-identical to pre-provenance runs, pinned by
         #: tests/obs/test_provenance.py.

@@ -47,7 +47,7 @@ from repro.workloads.registry import register
 
 class BoundFFT(BoundWorkload):
     def __init__(self, spec, machine, num_threads, engine, create):
-        super().__init__(spec, machine, num_threads, engine)
+        super().__init__(spec, machine, num_threads)
         n = spec.n
         self.pristine = PArray(machine, "fft.p", 2 * n, create=create)
         self.bufs = [

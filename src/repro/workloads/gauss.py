@@ -51,7 +51,7 @@ from repro.workloads.registry import register
 
 class BoundGauss(BoundWorkload):
     def __init__(self, spec, machine, num_threads, engine, create):
-        super().__init__(spec, machine, num_threads, engine)
+        super().__init__(spec, machine, num_threads)
         n = spec.n
         self.pristine = PMatrix(machine, "gauss.p", n, n, create=create)
         self.a = PMatrix(machine, "gauss.a", n, n, create=create)

@@ -79,7 +79,7 @@ class BoundRegionWorkload(BoundWorkload):
     """
 
     def __init__(self, spec, machine: Machine, num_threads, engine, create):
-        super().__init__(spec, machine, num_threads, engine)
+        super().__init__(spec, machine, num_threads)
         self._bind_data(create)
         self.plans: List[List[RegionDecl]] = [
             self.plan(tid) for tid in range(num_threads)

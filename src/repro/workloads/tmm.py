@@ -101,7 +101,7 @@ class BoundTMM(BoundWorkload):
         engine: str,
         create: bool,
     ) -> None:
-        super().__init__(spec, machine, num_threads, engine)
+        super().__init__(spec, machine, num_threads)
         n, b, T = spec.n, spec.bsize, spec.tiles
         self.a = PMatrix(machine, "tmm.a", n, n, create=create)
         self.b = PMatrix(machine, "tmm.b", n, n, create=create)
@@ -414,8 +414,7 @@ class BoundTMM(BoundWorkload):
         whose missing data fence lets the marker outrun the data.
         """
         yield RegionMark(f"tmm:recover-ep:t{tid}")
-        raw = yield Load(self.markers[tid].base)
-        done = int(raw) if raw is not None else -1
+        done = yield Load(self.markers[tid].base)
         order = self._ep_tile_order(tid)
         done_pos = sum(
             1 for t in order if self._tile_seq(*t) <= done
@@ -470,8 +469,7 @@ class BoundTMM(BoundWorkload):
         marker."""
         yield RegionMark(f"tmm:recover-wal:t{tid}")
         yield from self.logs[tid].recovery_ops()
-        raw = yield Load(self.markers[tid].base)
-        done = int(raw) if raw is not None else -1
+        done = yield Load(self.markers[tid].base)
         T = self.spec.tiles
         for kkt, iit in self._wal_region_order(tid):
             if kkt * T + iit <= done:

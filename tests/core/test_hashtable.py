@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.core.checksum import ModularChecksum
 from repro.core.hashtable import INVALID_CHECKSUM, ChecksumTable
+from repro.core.lazy import LPRuntime
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.machine import Machine
 
@@ -73,7 +74,7 @@ class TestCommit:
     def test_lazy_commit_is_volatile_until_evicted(self):
         m, tab = make_table()
         ck = tab.engine.of_values([5.0, 6.0])
-        m.run([tab.commit_lazy(ck, 1, 1, 1)])
+        m.run([LPRuntime.commit_slot(tab.slot_addr(1, 1, 1), ck)])
         # still only in cache
         assert not tab.is_committed(1, 1, 1)
         m.drain()
@@ -83,14 +84,14 @@ class TestCommit:
     def test_eager_commit_is_durable_immediately(self):
         m, tab = make_table()
         ck = tab.engine.of_values([5.0, 6.0])
-        m.run([tab.commit_eager(ck, 1, 1, 1)])
+        m.run([LPRuntime.commit_slot(tab.slot_addr(1, 1, 1), ck, eager=True)])
         assert tab.is_committed(1, 1, 1)  # no drain needed
         assert tab.matches([5.0, 6.0], 1, 1, 1)
 
     def test_matches_rejects_wrong_values(self):
         m, tab = make_table()
         ck = tab.engine.of_values([5.0, 6.0])
-        m.run([tab.commit_eager(ck, 0, 0, 0)])
+        m.run([LPRuntime.commit_slot(tab.slot_addr(0, 0, 0), ck, eager=True)])
         assert not tab.matches([5.0, 7.0], 0, 0, 0)
         # The modular engine sums its words, so reordered values match.
         # ROADMAP item 1's collisions rest on this order blindness: a
@@ -100,7 +101,7 @@ class TestCommit:
 
     def test_committed_keys_lists_slots(self):
         m, tab = make_table()
-        m.run([tab.commit_eager(123, 2, 1, 0)])
+        m.run([LPRuntime.commit_slot(tab.slot_addr(2, 1, 0), 123, eager=True)])
         assert tab.committed_keys() == (tab.slot(2, 1, 0),)
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.checksum import ModularChecksum
 from repro.core.hashtable import ChecksumTable
+from repro.core.lazy import LPRuntime
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.machine import Machine
 
@@ -53,7 +54,7 @@ def test_eager_commit_then_match_roundtrip(dims, values):
     table = ChecksumTable(m, "t", dims, ModularChecksum())
     key = tuple(0 for _ in dims)
     ck = table.engine.of_values(values)
-    m.run([table.commit_eager(ck, *key)])
+    m.run([LPRuntime.commit_slot(table.slot_addr(*key), ck, eager=True)])
     assert table.matches(values, *key)
     # and a different value list must not match (unless checksum-equal)
     altered = [v + 1.0 for v in values]

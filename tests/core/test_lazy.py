@@ -103,7 +103,7 @@ class TestLPRuntime:
         post = m.after_crash()  # nothing drained: all volatile
         persisted = [post.arch_value(data.addr(i)) for i in range(3)]
         assert not lp.table.matches(persisted, 0, 1)
-        assert not lp.committed(lp.table.slot_addr(0, 1))
+        assert post.mem.persisted(lp.table.slot_addr(0, 1)) == INVALID_CHECKSUM
 
     def test_string_engine_resolution(self):
         m = tiny_machine()
@@ -159,24 +159,28 @@ class TestSlotSteps:
         return post, lp, addrs, lp.table.slot_addr(0, 1)
 
     def test_uncommitted_slot_issues_no_op(self):
+        """No op beyond the slot's own load: its invalid value fails
+        the region before any data is read."""
         m = tiny_machine()
         lp = LPRuntime(m, "tab", (2, 2), engine="modular")
         data = m.alloc("data", 8)
         slot = lp.table.slot_addr(0, 1)
-        assert not lp.committed(slot)
+        assert m.mem.persisted(slot) == INVALID_CHECKSUM
         ops, ok = run_step(m, lp.region_matches([data.addr(0)], slot))
         assert ok is False
-        assert ops == []
+        assert ops == [Load(slot)]
 
     def test_match(self):
         post, lp, addrs, slot = self.committed_image()
-        assert lp.committed(slot)
+        assert post.mem.persisted(slot) != INVALID_CHECKSUM
         ops, ok = run_step(post, lp.region_matches(addrs, slot))
         assert ok is True
-        # loads in update order, the fold, then the slot
-        assert ops[: len(addrs)] == [Load(a) for a in addrs]
-        assert isinstance(ops[len(addrs)], Compute)
-        assert ops[len(addrs) + 1 :] == [Load(slot)]
+        # the slot, the values in update order, then the fold
+        assert ops[0] == Load(slot)
+        assert ops[1 : len(addrs) + 1] == [Load(a) for a in addrs]
+        assert ops[len(addrs) + 1 :] == [
+            Compute(len(addrs) * lp.engine.flops_per_update)
+        ]
 
     def test_mismatch(self):
         post, lp, addrs, slot = self.committed_image()
@@ -192,9 +196,9 @@ class TestSlotSteps:
         row = m.alloc_init("row", self.VALUES + [INVALID_CHECKSUM])
         addrs = [row.addr(i) for i in range(len(self.VALUES))]
         slot = row.addr(len(self.VALUES))
-        assert not lp.committed(slot)
+        assert m.mem.persisted(slot) == INVALID_CHECKSUM
         run_step(m, lp.recommit(self.VALUES, slot))
-        assert lp.committed(slot)
+        assert m.mem.persisted(slot) == float(lp.engine.of_values(self.VALUES))
         _, ok = run_step(m, lp.region_matches(addrs, slot))
         assert ok is True
         assert lp.table.committed_keys() == ()

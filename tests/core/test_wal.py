@@ -6,7 +6,7 @@ from repro.errors import ConfigError
 from repro.core.wal import WriteAheadLog
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.crash import CrashPlan, run_with_crash
-from repro.sim.isa import Fence, Flush
+from repro.sim.isa import Fence, Flush, Load
 from repro.sim.machine import Machine
 
 
@@ -29,7 +29,7 @@ class TestTransaction:
         m.run([log.transaction(writes)])
         for i in range(4):
             assert m.persistent_value(data.addr(i)) == float(i + 1)
-        assert not log.needs_recovery()
+        assert m.mem.persisted(log.status_addr) == 0.0
 
     def test_four_fence_sets(self):
         """Figure 2: four flush+fence sets per durable transaction."""
@@ -80,11 +80,8 @@ class TestRecovery:
         m, post, data, result = self.run_crash_at(at_op)
         assert result.crashed
 
-        post_log = WriteAheadLog.__new__(WriteAheadLog)
-        post_log.__dict__.update(
-            machine=post, capacity=8, region=post.region("log")
-        )
-        post.run([post_log.recovery_ops()]) if post_log.needs_recovery() else None
+        post_log = WriteAheadLog(post, "log", capacity=8, create=False)
+        post.run([post_log.recovery_ops()])
 
         values = [post.persistent_value(data.addr(i)) for i in range(4)]
         old = [10.0, 20.0, 30.0, 40.0]
@@ -96,5 +93,11 @@ class TestRecovery:
         data = m.alloc("data", 4)
         log = WriteAheadLog(m, "log", capacity=4)
         m.run([log.transaction([(data.addr(0), 5.0)])])
-        assert not log.needs_recovery()
-        assert list(log.recovery_ops()) == []
+        status = m.mem.persisted(log.status_addr)
+        assert status == 0.0
+        # recovery loads the status and stops there
+        step = log.recovery_ops()
+        assert next(step) == Load(log.status_addr)
+        with pytest.raises(StopIteration) as stop:
+            step.send(status)
+        assert stop.value.value is False

@@ -95,9 +95,8 @@ def test_wal_transaction_atomic_at_any_crash_point(at_op, timing):
     writes = [(data.addr(i), 100.0 + i) for i in range(4)]
     result, post = run_with_crash(m, [log.transaction(writes)], CrashPlan(at_op=at_op))
 
-    post_log = WriteAheadLog.attach(post, "log", capacity=8)
-    if post_log.needs_recovery():
-        post.run([post_log.recovery_ops()])
+    post_log = WriteAheadLog(post, "log", capacity=8, create=False)
+    post.run([post_log.recovery_ops()])
     values = [post.persistent_value(data.addr(i)) for i in range(4)]
     assert values in (old, [100.0, 101.0, 102.0, 103.0]), (
         f"non-atomic state {values} (crash at {at_op}, "
