@@ -39,7 +39,7 @@ def main() -> None:
           f"{len(committed)} region checksums persisted")
 
     # recovery runs on the post-crash machine: cold caches, NVMM image
-    rebound = wl.bind(post, num_threads=threads, create=False)
+    rebound = wl.bind(post, num_threads=threads)
     marks = []
     post.on_mark = lambda mark, cid, clock: marks.append(mark.label)
     rres = post.run(rebound.recovery_threads("lp"))

@@ -72,17 +72,15 @@ def durable_store(addr: int, value: float) -> Generator[Op, Optional[float], Non
 
 
 def progress_markers(
-    machine: Machine, prefix: str, num_threads: int, create: bool = True
+    machine: Machine, prefix: str, num_threads: int
 ) -> List[Region]:
     """One durable progress marker per thread, ``{prefix}.progress.{t}``.
 
     Markers start at -1 (nothing done); a thread publishes progress with
-    :func:`durable_store` on its marker's ``base``.  ``create=False``
-    re-attaches to the markers already in the (post-crash) image.
+    :func:`durable_store` on its marker's ``base``.  On a post-crash
+    machine they are the markers already in the image, as they stand.
     """
     return [
         machine.scalar(f"{prefix}.progress.{t}", -1.0)
-        if create
-        else machine.region(f"{prefix}.progress.{t}")
         for t in range(num_threads)
     ]

@@ -40,7 +40,6 @@ class ChecksumTable:
         name: str,
         dims: Sequence[int],
         engine: ChecksumEngine,
-        create: bool = True,
     ) -> None:
         if not dims or any(d <= 0 for d in dims):
             raise ConfigError(f"bad checksum table dims {dims!r}")
@@ -51,19 +50,7 @@ class ChecksumTable:
         for d in self.dims:
             num_slots *= d
         self.num_slots = num_slots
-        if create:
-            self.region: Region = machine.alloc_init(
-                name, [INVALID_CHECKSUM] * num_slots
-            )
-        else:
-            # Re-attach (e.g. on the post-crash machine): the region and
-            # its persistent contents already exist.
-            self.region = machine.region(name)
-            if self.region.num_elements != num_slots:
-                raise ConfigError(
-                    f"existing table {name!r} has "
-                    f"{self.region.num_elements} slots, expected {num_slots}"
-                )
+        self.region: Region = machine.alloc_init(name, [INVALID_CHECKSUM] * num_slots)
 
     # -- keying ------------------------------------------------------------
 

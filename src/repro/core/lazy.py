@@ -48,12 +48,9 @@ class LPRuntime:
         table_name: str,
         dims: Sequence[int],
         engine: "ChecksumEngine | str" = "modular",
-        create: bool = True,
     ) -> None:
         self.engine = get_engine(engine) if isinstance(engine, str) else engine
-        self.table = ChecksumTable(
-            machine, table_name, dims, self.engine, create=create
-        )
+        self.table = ChecksumTable(machine, table_name, dims, self.engine)
 
     # -- normal execution ---------------------------------------------------
 

@@ -38,17 +38,12 @@ _HEADER_ELEMS = 8  # pad to a full line
 class WriteAheadLog:
     """A per-thread undo log with a durable status word."""
 
-    def __init__(
-        self, machine: Machine, name: str, capacity: int, create: bool = True
-    ) -> None:
+    def __init__(self, machine: Machine, name: str, capacity: int) -> None:
         if capacity <= 0:
             raise ConfigError("log capacity must be positive")
         self.capacity = capacity
         # header line + (addr, value) pairs
-        if create:
-            self.region = machine.alloc(name, _HEADER_ELEMS + 2 * capacity)
-        else:
-            self.region = machine.region(name)
+        self.region = machine.alloc(name, _HEADER_ELEMS + 2 * capacity)
 
     # -- addressing ---------------------------------------------------------
 
@@ -94,9 +89,7 @@ class WriteAheadLog:
         yield from persist_region(log_addrs)  # flushes + SFENCE (set 1)
 
         # 2. validate the log.
-        yield Store(self.status_addr, 1.0)
-        yield Flush(self.status_addr)
-        yield Fence()  # set 2
+        yield from self.status_ops(1.0)  # set 2
 
         # 3. perform and persist the data writes.
         for addr, value in writes:
@@ -105,9 +98,27 @@ class WriteAheadLog:
         yield Fence()  # set 3
 
         # 4. invalidate the log.
-        yield Store(self.status_addr, 0.0)
-        yield Flush(self.status_addr)
-        yield Fence()  # set 4
+        yield from self.status_ops(0.0)  # set 4
+
+    def journal_batch(
+        self, writes: Sequence[Tuple[int, float]], seq: int
+    ) -> Generator[Op, Optional[float], None]:
+        """Journal a redo batch (new values, count, ``seq``), persist and
+        validate it; the caller flushes the data, then retires the log."""
+        logged: List[int] = [self.count_addr, self.seq_addr]
+        for i, (addr, value) in enumerate(writes):
+            a_addr, v_addr = self.entry_addrs(i)
+            yield Store(a_addr, float(addr))
+            yield Store(v_addr, value)
+            logged.extend((a_addr, v_addr))
+        yield Store(self.count_addr, float(len(writes)))
+        yield Store(self.seq_addr, float(seq))
+        yield from persist_region(logged)
+        yield from self.status_ops(1.0)
+
+    def status_ops(self, value: float) -> Tuple[Op, Op, Op]:
+        """Store, clflushopt, sfence the status word (no generator frame)."""
+        return Store(self.status_addr, value), Flush(self.status_addr), Fence()
 
     # -- recovery -------------------------------------------------------------
 
@@ -131,7 +142,5 @@ class WriteAheadLog:
             yield Store(int(target), value)
             restored.append(int(target))
         yield from persist_region(restored)
-        yield Store(self.status_addr, 0.0)
-        yield Flush(self.status_addr)
-        yield Fence()
+        yield from self.status_ops(0.0)
         return True

@@ -20,8 +20,9 @@ declared by its last writer.
 :class:`SchemeState` allocates the scheme metadata — checksum table,
 per-thread progress markers, WAL undo logs and write-behind redo
 journals (both :class:`~repro.core.wal.WriteAheadLog`s) — for *every*
-workload uniformly, so create/rebind and all schemes address identical
-regions.
+workload uniformly, so all schemes address identical regions and a
+binding on a post-crash machine re-attaches to the ones the crashed
+run allocated.
 """
 
 from __future__ import annotations
@@ -119,10 +120,10 @@ class SchemeState:
     """Scheme metadata for one bound region workload.
 
     Allocated uniformly — every scheme's regions exist under every
-    scheme — so a workload bound with ``create=True`` and one rebound
-    with ``create=False`` (post-crash recovery) agree on every address
-    regardless of which scheme ran, and cross-scheme address layouts
-    never diverge.
+    scheme — so a workload bound on a fresh machine and one rebound on
+    its post-crash machine (:attr:`Machine.post_crash`, where
+    allocating re-attaches) agree on every address regardless of which
+    scheme ran, and cross-scheme address layouts never diverge.
     """
 
     def __init__(
@@ -133,7 +134,6 @@ class SchemeState:
         plans: Sequence[Sequence[RegionDecl]],
         engine: str,
         wb_batch: int,
-        create: bool = True,
     ) -> None:
         if wb_batch < 1:
             raise WorkloadError(f"wb_batch must be >= 1, got {wb_batch}")
@@ -143,15 +143,12 @@ class SchemeState:
             f"{prefix}.cktab",
             dims=(num_threads, max(1, _max_plan_len(plans))),
             engine=engine,
-            create=create,
         )
-        self.markers: List[Region] = progress_markers(
-            machine, prefix, num_threads, create
-        )
+        self.markers: List[Region] = progress_markers(machine, prefix, num_threads)
 
         def logs(kind: str, capacity: int) -> List[WriteAheadLog]:
             return [
-                WriteAheadLog(machine, f"{prefix}.{kind}.{t}", capacity, create)
+                WriteAheadLog(machine, f"{prefix}.{kind}.{t}", capacity)
                 for t in range(num_threads)
             ]
 

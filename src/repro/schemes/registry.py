@@ -344,29 +344,15 @@ class WriteBehindScheme(MarkerScheme):
         marker = host.scheme_state.markers[tid]
         items = list(pending.items())
         if self.journal:
-            # 1. journal the dirty queue (redo journal: new values).
-            logged = [journal.count_addr, journal.seq_addr]
-            for i, (addr, value) in enumerate(items):
-                a_addr, v_addr = journal.entry_addrs(i)
-                yield Store(a_addr, float(addr))
-                yield Store(v_addr, value)
-                logged.extend((a_addr, v_addr))
-            yield Store(journal.count_addr, float(len(items)))
-            yield Store(journal.seq_addr, float(seq))
-            yield from persist_region(logged)
-            # 2. validate the journal.
-            yield Store(journal.status_addr, 1.0)
-            yield Flush(journal.status_addr)
-            yield Fence()
+            # 1-2. journal the dirty queue (new values) and validate it.
+            yield from journal.journal_batch(items, seq)
             # 3. flush the coalesced lines (data already stored by the
             #    region bodies; the cache held the write-behind buffer).
             yield from persist_region([addr for addr, _ in items])
             # 4. publish the batch and retire the journal.
             yield Store(marker.base, float(seq))
             yield Flush(marker.base)
-            yield Store(journal.status_addr, 0.0)
-            yield Flush(journal.status_addr)
-            yield Fence()
+            yield from journal.status_ops(0.0)
         else:
             # BROKEN: no journal, and the batch marker's flush races
             # the data flushes under a single trailing fence — the

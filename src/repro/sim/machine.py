@@ -30,7 +30,7 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import AddressError, ConfigError, SimulationError
 from repro.sim.address import Allocator, Region
 from repro.sim.cache import Line
 from repro.sim.coherence import Hierarchy, MemorySystem, ReplayHierarchy
@@ -127,6 +127,12 @@ class Machine:
             if _allocator is not None
             else Allocator(config.memory_bytes)
         )
+        #: Post-crash machines (built by :meth:`after_crash` and
+        #: :meth:`after_crash_with_image`) share the crashed machine's
+        #: allocator, so every region the crashed run allocated is
+        #: already in their image: allocating re-attaches (see
+        #: :meth:`alloc`).
+        self.post_crash = _allocator is not None
         #: Replay machines (see :meth:`after_crash_with_image`) execute
         #: architectural semantics only: no caches, no persist-order
         #: tracking, functional timing.  They exist to answer "does
@@ -197,14 +203,26 @@ class Machine:
     # ------------------------------------------------------------------
 
     def alloc(self, name: str, num_elements: int) -> Region:
-        """Allocate a persistent region; contents start durably at 0.0."""
-        region = self.allocator.alloc(name, num_elements)
-        for addr in region.element_addrs():
-            self.mem.init(addr, 0.0)
-        return region
+        """Allocate a persistent region; contents start durably at 0.0.
+
+        On a :attr:`post_crash` machine this, :meth:`alloc_init` and
+        :meth:`scalar` re-attach instead: they return the crashed run's
+        region of that name and write nothing, so recovery finds its
+        data where the crashed run left it (paper section III-E).  An
+        unknown name or a size mismatch raises :class:`AddressError`.
+        """
+        return self.alloc_init(name, [0.0] * num_elements)
 
     def alloc_init(self, name: str, values: Sequence[float]) -> Region:
         """Allocate and durably initialise a region from ``values``."""
+        if self.post_crash:
+            region = self.allocator.region(name)
+            if region.num_elements != len(values):
+                raise AddressError(
+                    f"region {name!r} holds {region.num_elements} "
+                    f"elements, expected {len(values)}"
+                )
+            return region
         region = self.allocator.alloc(name, len(values))
         for addr, value in zip(region.element_addrs(), values):
             self.mem.init(addr, value)
@@ -212,9 +230,7 @@ class Machine:
 
     def scalar(self, name: str, value: float = 0.0) -> Region:
         """Allocate a one-element region (markers, counters)."""
-        region = self.allocator.alloc(name, 1)
-        self.mem.init(region.base, value)
-        return region
+        return self.alloc_init(name, [value])
 
     def region(self, name: str) -> Region:
         """Look up an allocated region by name."""
@@ -592,7 +608,11 @@ class Machine:
         return self.hierarchy.clean_all(now, cause="drain")
 
     def after_crash(self) -> "Machine":
-        """The machine as recovery code finds it after power loss."""
+        """The machine as recovery code finds it after power loss.
+
+        It is :attr:`post_crash`: binding a workload on it re-attaches
+        to the crashed run's regions instead of allocating new ones.
+        """
         return Machine(
             self.config,
             _mem=self.mem.crashed_copy(),
@@ -634,7 +654,8 @@ class Machine:
         set (or any address->value map); the rebuilt machine has cold
         caches and architectural state equal to the image, exactly like
         :meth:`after_crash` but for a chosen image instead of the one
-        the simulated schedule happened to produce.
+        the simulated schedule happened to produce.  Like that machine
+        it is :attr:`post_crash`, so allocating on it re-attaches.
 
         With ``replay=True`` the rebuilt machine is a **replay
         machine**: cache-free architectural semantics under functional

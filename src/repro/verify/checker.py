@@ -285,9 +285,7 @@ def _run_recovery(
     run, whose cycles are the modelled recovery time.
     """
     post = crashed_machine.after_crash_with_image(image, replay=replay)
-    rebound = workload.bind(
-        post, num_threads=num_threads, engine=engine, create=False
-    )
+    rebound = workload.bind(post, num_threads=num_threads, engine=engine)
     result = post.run(rebound.recovery_threads(variant))
     return rebound.verify(), result
 

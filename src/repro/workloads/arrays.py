@@ -1,11 +1,13 @@
 """Persistent array/matrix views over simulator regions.
 
-These views allocate (or re-attach to) a workload's regions and map
-element indices to addresses.  Kernels time every element access by
-yielding :mod:`repro.sim.isa` ops on those addresses directly
-(``v = yield Load(m.addr(i, j))``), so each goes through the simulated
-cache hierarchy.  The bulk accessors are untimed and serve
-initialisation, reference computation and verification only.
+These views allocate a workload's regions and map element indices to
+addresses; on a post-crash machine allocating re-attaches to the
+crashed run's region of the same name (:meth:`Machine.alloc`).
+Kernels time every element access by yielding :mod:`repro.sim.isa`
+ops on those addresses directly (``v = yield Load(m.addr(i, j))``),
+so each goes through the simulated cache hierarchy.  The bulk
+accessors are untimed and serve initialisation, reference computation
+and verification only.
 """
 
 from __future__ import annotations
@@ -22,18 +24,11 @@ from repro.sim.machine import Machine
 class PArray:
     """A 1-D persistent array of 64-bit values."""
 
-    def __init__(self, machine: Machine, name: str, n: int, create: bool = True):
+    def __init__(self, machine: Machine, name: str, n: int):
         self.machine = machine
         self.name = name
         self.n = n
-        self.region: Region = (
-            machine.alloc(name, n) if create else machine.region(name)
-        )
-        if self.region.num_elements != n:
-            raise WorkloadError(
-                f"region {name!r} holds {self.region.num_elements} elements, "
-                f"expected {n}"
-            )
+        self.region: Region = machine.alloc(name, n)
 
     def addr(self, i: int) -> int:
         """Element address of index ``i``."""
@@ -62,26 +57,12 @@ class PArray:
 class PMatrix:
     """A row-major 2-D persistent matrix."""
 
-    def __init__(
-        self,
-        machine: Machine,
-        name: str,
-        rows: int,
-        cols: int,
-        create: bool = True,
-    ):
+    def __init__(self, machine: Machine, name: str, rows: int, cols: int):
         self.machine = machine
         self.name = name
         self.rows = rows
         self.cols = cols
-        self.region: Region = (
-            machine.alloc(name, rows * cols) if create else machine.region(name)
-        )
-        if self.region.num_elements != rows * cols:
-            raise WorkloadError(
-                f"region {name!r} holds {self.region.num_elements} elements, "
-                f"expected {rows * cols}"
-            )
+        self.region: Region = machine.alloc(name, rows * cols)
 
     def index(self, i: int, j: int) -> int:
         """Row-major flat index of (i, j)."""

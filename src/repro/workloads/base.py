@@ -8,9 +8,9 @@ recovery threads to run after a crash of that variant, and
 verification against a numpy reference.  Thread generators yield
 :mod:`repro.sim.isa` ops directly (``v = yield Load(addr)``).
 
-Rebinding (``create=False``) attaches to regions that already exist —
-that is how recovery code addresses the same arrays on the post-crash
-machine.
+Binding on a post-crash machine (:attr:`Machine.post_crash`) re-attaches
+to the regions the crashed run allocated and writes nothing — that is
+how recovery code addresses the same arrays after a crash.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ class Workload(ABC):
     #: Registry name (e.g. "tmm").
     name: str = "abstract"
     #: The :class:`BoundWorkload` subclass :meth:`bind` builds; its
-    #: constructor takes ``(spec, machine, num_threads, engine, create)``.
+    #: constructor takes ``(spec, machine, num_threads, engine)``.
     bound: Type[BoundWorkload]
     #: Variants this workload implements.
     variants: Tuple[str, ...] = (SCHEME_BASE, SCHEME_LP, SCHEME_EP)
@@ -141,11 +141,11 @@ class Workload(ABC):
         machine: Machine,
         num_threads: int = 1,
         engine: str = "modular",
-        create: bool = True,
     ) -> BoundWorkload:
         """Build :attr:`bound` on ``machine``: allocate this workload's
-        data (``create=True``) or re-attach to it (``create=False``)."""
-        return self.bound(self, machine, num_threads, engine, create)
+        data and fill its inputs or, on a post-crash machine, re-attach
+        to the data the crashed run left."""
+        return self.bound(self, machine, num_threads, engine)
 
     def check_variant(self, variant: str) -> None:
         """Raise WorkloadError for variants this workload lacks.

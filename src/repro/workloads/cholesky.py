@@ -43,11 +43,11 @@ from repro.workloads.registry import register
 
 
 class BoundCholesky(BoundRegionWorkload):
-    def _bind_data(self, create: bool) -> None:
+    def _bind_data(self) -> None:
         n = self.spec.n
-        self.pristine = PMatrix(self.machine, "chol.p", n, n, create=create)
-        self.l = PMatrix(self.machine, "chol.l", n, n, create=create)
-        if create:
+        self.pristine = PMatrix(self.machine, "chol.p", n, n)
+        self.l = PMatrix(self.machine, "chol.l", n, n)
+        if not self.machine.post_crash:
             rng = random.Random(self.spec.seed)
             m = integer_matrix(rng, n, n, span=3)
             spd = m @ m.T + np.diag([float(4 * n)] * n)

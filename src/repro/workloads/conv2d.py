@@ -31,15 +31,13 @@ from repro.workloads.registry import register
 
 
 class BoundConv2D(BoundRegionWorkload):
-    def _bind_data(self, create: bool) -> None:
+    def _bind_data(self) -> None:
         spec = self.spec
         n, k = spec.n, spec.ksize
-        self.image = PMatrix(self.machine, "conv.image", n, n, create=create)
-        self.kernel = PMatrix(self.machine, "conv.kernel", k, k, create=create)
-        self.out = PMatrix(
-            self.machine, "conv.out", spec.out_n, spec.out_n, create=create
-        )
-        if create:
+        self.image = PMatrix(self.machine, "conv.image", n, n)
+        self.kernel = PMatrix(self.machine, "conv.kernel", k, k)
+        self.out = PMatrix(self.machine, "conv.out", spec.out_n, spec.out_n)
+        if not self.machine.post_crash:
             rng = random.Random(spec.seed)
             self.image.fill(integer_matrix(rng, n, n))
             self.kernel.fill(integer_matrix(rng, k, k, span=2))

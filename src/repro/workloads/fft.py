@@ -46,23 +46,22 @@ from repro.workloads.registry import register
 
 
 class BoundFFT(BoundWorkload):
-    def __init__(self, spec, machine, num_threads, engine, create):
+    def __init__(self, spec, machine, num_threads, engine):
         super().__init__(spec, machine, num_threads)
         n = spec.n
-        self.pristine = PArray(machine, "fft.p", 2 * n, create=create)
+        self.pristine = PArray(machine, "fft.p", 2 * n)
         self.bufs = [
-            PArray(machine, "fft.buf0", 2 * n, create=create),
-            PArray(machine, "fft.buf1", 2 * n, create=create),
+            PArray(machine, "fft.buf0", 2 * n),
+            PArray(machine, "fft.buf1", 2 * n),
         ]
         self.lp = LPRuntime(
             machine,
             "fft.cktab",
             dims=(spec.stages, num_threads),
             engine=engine,
-            create=create,
         )
-        self.markers = progress_markers(machine, "fft", num_threads, create)
-        if create:
+        self.markers = progress_markers(machine, "fft", num_threads)
+        if not machine.post_crash:
             rng = random.Random(spec.seed)
             data = [float(rng.randint(-8, 8)) for _ in range(2 * n)]
             self.pristine.fill(data)

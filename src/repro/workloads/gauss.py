@@ -50,20 +50,19 @@ from repro.workloads.registry import register
 
 
 class BoundGauss(BoundWorkload):
-    def __init__(self, spec, machine, num_threads, engine, create):
+    def __init__(self, spec, machine, num_threads, engine):
         super().__init__(spec, machine, num_threads)
         n = spec.n
-        self.pristine = PMatrix(machine, "gauss.p", n, n, create=create)
-        self.a = PMatrix(machine, "gauss.a", n, n, create=create)
+        self.pristine = PMatrix(machine, "gauss.p", n, n)
+        self.a = PMatrix(machine, "gauss.a", n, n)
         self.lp = LPRuntime(
             machine,
             "gauss.cktab",
             dims=(spec.pivots, spec.num_blocks),
             engine=engine,
-            create=create,
         )
-        self.markers = progress_markers(machine, "gauss", num_threads, create)
-        if create:
+        self.markers = progress_markers(machine, "gauss", num_threads)
+        if not machine.post_crash:
             rng = random.Random(spec.seed)
             mat = integer_matrix(rng, n, n)
             # diagonal dominance: no pivoting needed, pivots never zero

@@ -12,7 +12,8 @@ loads, computes, tracked stores).  The persistency-scheme layer
   that blindly redoes declared writes from the scheme's restart
   frontier,
 * uniform scheme metadata allocation (checksum table, markers, WAL
-  logs, write-behind journals) across create/rebind.
+  logs, write-behind journals), which a binding on a post-crash
+  machine re-attaches to.
 
 Two paper kernels are built this way, conv2d and cholesky: each writes
 every output address exactly once, so its plan is read off its numpy
@@ -71,16 +72,17 @@ class RegionWorkload(Workload):
 class BoundRegionWorkload(BoundWorkload):
     """A region workload bound to one machine.
 
-    Subclasses implement :meth:`_bind_data` (allocate or re-attach
-    data regions), :meth:`plan` (the per-thread region declarations),
-    :meth:`region_body` (the timed ops of one region, routing durable
-    stores through the :class:`~repro.schemes.RegionContext`), and the
-    usual ``reference``/``output`` verification pair.
+    Subclasses implement :meth:`_bind_data` (allocate the data
+    regions and, on a fresh machine, fill the inputs), :meth:`plan`
+    (the per-thread region declarations), :meth:`region_body` (the
+    timed ops of one region, routing durable stores through the
+    :class:`~repro.schemes.RegionContext`), and the usual
+    ``reference``/``output`` verification pair.
     """
 
-    def __init__(self, spec, machine: Machine, num_threads, engine, create):
+    def __init__(self, spec, machine: Machine, num_threads, engine):
         super().__init__(spec, machine, num_threads)
-        self._bind_data(create)
+        self._bind_data()
         self.plans: List[List[RegionDecl]] = [
             self.plan(tid) for tid in range(num_threads)
         ]
@@ -92,14 +94,14 @@ class BoundRegionWorkload(BoundWorkload):
             self.plans,
             engine=engine,
             wb_batch=spec.wb_batch,
-            create=create,
         )
 
     # -- subclass protocol ---------------------------------------------------
 
     @abstractmethod
-    def _bind_data(self, create: bool) -> None:
-        """Allocate (create) or re-attach (rebind) the data regions."""
+    def _bind_data(self) -> None:
+        """Allocate the data regions; on a post-crash machine this
+        re-attaches to them (:meth:`Machine.alloc`)."""
 
     @abstractmethod
     def plan(self, tid: int) -> List[RegionDecl]:

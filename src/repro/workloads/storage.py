@@ -53,22 +53,14 @@ _THREAD_SEED_STRIDE = 7919
 
 
 class BoundAppendLog(BoundRegionWorkload):
-    def _bind_data(self, create: bool) -> None:
+    def _bind_data(self) -> None:
         spec = self.spec
         self.data: List[PMatrix] = [
-            PMatrix(
-                self.machine,
-                f"log.data.{t}",
-                spec.records,
-                spec.width,
-                create=create,
-            )
+            PMatrix(self.machine, f"log.data.{t}", spec.records, spec.width)
             for t in range(self.num_threads)
         ]
         self.heads: List[Region] = [
             self.machine.scalar(f"log.head.{t}", 0.0)
-            if create
-            else self.machine.region(f"log.head.{t}")
             for t in range(self.num_threads)
         ]
         self.values = [
@@ -158,14 +150,14 @@ class AppendLog(RegionWorkload):
 
 
 class BoundPersistentHashmap(BoundRegionWorkload):
-    def _bind_data(self, create: bool) -> None:
+    def _bind_data(self) -> None:
         spec = self.spec
         self.slot_keys: List[PArray] = [
-            PArray(self.machine, f"hashmap.keys.{t}", spec.capacity, create=create)
+            PArray(self.machine, f"hashmap.keys.{t}", spec.capacity)
             for t in range(self.num_threads)
         ]
         self.slot_vals: List[PArray] = [
-            PArray(self.machine, f"hashmap.vals.{t}", spec.capacity, create=create)
+            PArray(self.machine, f"hashmap.vals.{t}", spec.capacity)
             for t in range(self.num_threads)
         ]
         self.put_sequences = [

@@ -99,16 +99,15 @@ class BoundTMM(BoundWorkload):
         machine: Machine,
         num_threads: int,
         engine: str,
-        create: bool,
     ) -> None:
         super().__init__(spec, machine, num_threads)
         n, b, T = spec.n, spec.bsize, spec.tiles
-        self.a = PMatrix(machine, "tmm.a", n, n, create=create)
-        self.b = PMatrix(machine, "tmm.b", n, n, create=create)
+        self.a = PMatrix(machine, "tmm.a", n, n)
+        self.b = PMatrix(machine, "tmm.b", n, n)
         # Figure 7a: the embedded organization widens c by one checksum
         # column per kk tile; slot (kkt, iit) lives at row ii, col n+kkt.
         extra_cols = T if spec.checksum_org == "embedded" else 0
-        self.c = PMatrix(machine, "tmm.c", n, n + extra_cols, create=create)
+        self.c = PMatrix(machine, "tmm.c", n, n + extra_cols)
         if spec.checksum_org == "embedded":
             table_dims = (1,)  # engine holder only; slots live in c
         elif spec.granularity == "jj":
@@ -117,20 +116,16 @@ class BoundTMM(BoundWorkload):
             table_dims = (T, T, num_threads)
         else:  # "kk"
             table_dims = (T, num_threads)
-        self.lp = LPRuntime(
-            machine, "tmm.cktab", dims=table_dims, engine=engine, create=create
-        )
+        self.lp = LPRuntime(machine, "tmm.cktab", dims=table_dims, engine=engine)
         # EagerRecompute per-thread progress markers.
-        self.markers = progress_markers(machine, "tmm", num_threads, create)
+        self.markers = progress_markers(machine, "tmm", num_threads)
         # WAL logs, one per thread, sized for one region's writes plus
         # the progress marker committed inside the same transaction.
         self.logs = [
-            WriteAheadLog(
-                machine, f"tmm.log.{t}", capacity=b * n + 1, create=create
-            )
+            WriteAheadLog(machine, f"tmm.log.{t}", capacity=b * n + 1)
             for t in range(num_threads)
         ]
-        if create:
+        if not machine.post_crash:
             rng = random.Random(spec.seed)
             self.a.fill(integer_matrix(rng, n, n))
             self.b.fill(integer_matrix(rng, n, n))

@@ -154,7 +154,7 @@ class TestSlotSteps:
         m.run([lp_kernel(lp, data, self.VALUES, (0, 1))])
         m.drain()
         post = m.after_crash()
-        lp = LPRuntime(post, "tab", (2, 2), engine=engine, create=False)
+        lp = LPRuntime(post, "tab", (2, 2), engine=engine)
         addrs = [data.addr(i) for i in range(len(self.VALUES))]
         return post, lp, addrs, lp.table.slot_addr(0, 1)
 
@@ -225,6 +225,6 @@ class TestSlotSteps:
             Fence(),
         ]
         post = m.after_crash()  # no drain
-        rebound = LPRuntime(post, "tab", (2, 2), engine="parallel", create=False)
+        rebound = LPRuntime(post, "tab", (2, 2), engine="parallel")
         assert rebound.table.matches(self.VALUES, 1, 0)
 

@@ -60,7 +60,7 @@ def test_timed_check_agrees_with_table_matches(engine, written, committed, data)
             ck.update(v)
         m.run([lp.commit_slot(lp.table.slot_addr(1), ck.value, eager=True)])
     post = m.after_crash()
-    lp = LPRuntime(post, "t", (2,), engine=engine, create=False)
+    lp = LPRuntime(post, "t", (2,), engine=engine)
     addrs = [region.addr(i) for i in range(len(image))]
     verdict = timed_verdict(
         post, lp.region_matches(addrs, lp.table.slot_addr(1))

@@ -80,7 +80,7 @@ class TestRecovery:
         m, post, data, result = self.run_crash_at(at_op)
         assert result.crashed
 
-        post_log = WriteAheadLog(post, "log", capacity=8, create=False)
+        post_log = WriteAheadLog(post, "log", capacity=8)
         post.run([post_log.recovery_ops()])
 
         values = [post.persistent_value(data.addr(i)) for i in range(4)]

@@ -44,7 +44,7 @@ def test_tmm_recovery_exact_at_any_crash_point(at_op, timing):
     if not result.crashed:
         assert bound.verify()
         return
-    rb = wl.bind(post, num_threads=2, create=False)
+    rb = wl.bind(post, num_threads=2)
     post.run(rb.recovery_threads("lp"))
     assert rb.verify()
 
@@ -64,7 +64,7 @@ def test_tmm_recovery_exact_with_cleaner(at_op, period, timing):
     if not result.crashed:
         assert bound.verify()
         return
-    rb = wl.bind(post, num_threads=2, create=False)
+    rb = wl.bind(post, num_threads=2)
     post.run(rb.recovery_threads("lp"))
     assert rb.verify()
 
@@ -79,7 +79,7 @@ def test_conv2d_recovery_exact_at_any_crash_point(at_op, timing):
     if not result.crashed:
         assert bound.verify()
         return
-    rb = wl.bind(post, num_threads=2, create=False)
+    rb = wl.bind(post, num_threads=2)
     post.run(rb.recovery_threads("lp"))
     assert rb.verify()
 
@@ -95,7 +95,7 @@ def test_wal_transaction_atomic_at_any_crash_point(at_op, timing):
     writes = [(data.addr(i), 100.0 + i) for i in range(4)]
     result, post = run_with_crash(m, [log.transaction(writes)], CrashPlan(at_op=at_op))
 
-    post_log = WriteAheadLog(post, "log", capacity=8, create=False)
+    post_log = WriteAheadLog(post, "log", capacity=8)
     post.run([post_log.recovery_ops()])
     values = [post.persistent_value(data.addr(i)) for i in range(4)]
     assert values in (old, [100.0, 101.0, 102.0, 103.0]), (

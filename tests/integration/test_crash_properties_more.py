@@ -28,7 +28,7 @@ def crash_and_recover(workload, at_op, threads=2):
     )
     if not result.crashed:
         return bound.verify()
-    rb = workload.bind(post, num_threads=threads, create=False)
+    rb = workload.bind(post, num_threads=threads)
     post.run(rb.recovery_threads("lp"))
     return rb.verify()
 

@@ -87,7 +87,7 @@ def test_tmm_recovery_exact_under_any_schedule(seed, at_op):
     if not result.crashed:
         assert bound.verify()
         return
-    rb = wl.bind(post, num_threads=2, create=False)
+    rb = wl.bind(post, num_threads=2)
     post.run(rb.recovery_threads("lp"))
     assert rb.verify()
 

@@ -117,7 +117,7 @@ def test_phase_is_free_on_the_replay_loop():
         replay = machine.after_crash_with_image(
             dict(machine.mem.arch), replay=True
         )
-        rebound = wl.bind(replay, num_threads=2, create=False)
+        rebound = wl.bind(replay, num_threads=2)
         rebound.provenance = provenance
         result = replay.run(rebound.threads("base"))
         clocks.append(tuple(c.clock for c in replay.cores))

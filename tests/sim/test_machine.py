@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import AddressError, ConfigError
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.isa import Compute, Load, RegionMark, Store
 from repro.sim.machine import Machine
@@ -46,6 +46,70 @@ class TestAllocation:
         m = tiny_machine()
         r = m.alloc("a", 4)
         assert m.region("a") == r
+
+
+#: The two ways to build a post-crash machine.
+POST_CRASH = {
+    "after_crash": lambda m: m.after_crash(),
+    "image_replay": lambda m: m.after_crash_with_image(
+        m.mem.persistent, replay=True
+    ),
+}
+
+#: The three allocating calls, each asking for one element.
+ALLOCATORS = {
+    "alloc": lambda m, name: m.alloc(name, 1),
+    "alloc_init": lambda m, name: m.alloc_init(name, [7.0]),
+    "scalar": lambda m, name: m.scalar(name, 7.0),
+}
+
+
+class TestPostCrashAllocation:
+    """A post-crash machine re-attaches by name and never allocates."""
+
+    def crashed(self):
+        m = tiny_machine()
+        m.alloc_init("a", [1.0, 2.0, 3.0])
+        m.scalar("s", -1.0)
+        return m
+
+    def test_only_rebuilt_machines_are_post_crash(self):
+        m = self.crashed()
+        assert not m.post_crash
+        for rebuild in POST_CRASH.values():
+            assert rebuild(m).post_crash
+        assert m.after_crash().after_crash().post_crash
+
+    @pytest.mark.parametrize("rebuild", sorted(POST_CRASH))
+    def test_reattach_writes_nothing(self, rebuild):
+        m = self.crashed()
+        post = POST_CRASH[rebuild](m)
+        arch, persistent = dict(post.mem.arch), dict(post.mem.persistent)
+        assert post.alloc("a", 3) == m.region("a")
+        assert post.alloc_init("a", [9.0, 9.0, 9.0]) == m.region("a")
+        assert post.scalar("s", 5.0) == m.region("s")
+        assert post.mem.arch == arch
+        assert post.mem.persistent == persistent
+        assert post.read_region(m.region("a")) == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("call", sorted(ALLOCATORS))
+    @pytest.mark.parametrize("rebuild", sorted(POST_CRASH))
+    def test_unknown_name_raises_and_adds_no_region(self, rebuild, call):
+        m = self.crashed()
+        post = POST_CRASH[rebuild](m)
+        regions = post.allocator.regions
+        bump = post.allocator.bytes_allocated
+        with pytest.raises(AddressError):
+            ALLOCATORS[call](post, "new")
+        assert post.allocator.regions == regions
+        assert post.allocator.bytes_allocated == bump
+
+    @pytest.mark.parametrize("call", sorted(ALLOCATORS))
+    @pytest.mark.parametrize("rebuild", sorted(POST_CRASH))
+    def test_size_mismatch_raises(self, rebuild, call):
+        post = POST_CRASH[rebuild](self.crashed())
+        with pytest.raises(AddressError, match="holds 3 elements"):
+            ALLOCATORS[call](post, "a")
 
 
 class TestRun:

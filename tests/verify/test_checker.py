@@ -193,9 +193,7 @@ class TestOneImageMode:
         result, post = run_with_crash(machine, bound.threads(variant), crash)
         if not result.crashed:
             return False, result.nvmm_writes, 0, 0.0, bound.verify()
-        rebound = workload.bind(
-            post, num_threads=2, engine="modular", create=False
-        )
+        rebound = workload.bind(post, num_threads=2, engine="modular")
         recovery = post.run(rebound.recovery_threads(variant))
         return (
             True,

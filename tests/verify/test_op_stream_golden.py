@@ -134,7 +134,7 @@ def _case_digests(spec, variant: str, num_threads: int) -> Dict[str, List[str]]:
     bound = spec.bind(machine, num_threads=num_threads)
     machine.run(bound.threads(variant), crash_at_op=ops // 2)
     post = machine.after_crash_with_image(machine.mem.persistent, replay=True)
-    rebound = spec.bind(post, num_threads=num_threads, create=False)
+    rebound = spec.bind(post, num_threads=num_threads)
     recovery, _ = _run(post, rebound.recovery_threads(variant))
     return {"forward": forward, "recovery": recovery}
 

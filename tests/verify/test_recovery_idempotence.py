@@ -37,7 +37,7 @@ CASES = [
 
 def recover(machine, workload, variant):
     """One recovery pass; returns the drained persistent image."""
-    rebound = workload.bind(machine, num_threads=2, create=False)
+    rebound = workload.bind(machine, num_threads=2)
     machine.run(rebound.recovery_threads(variant))
     machine.drain()
     return rebound, dict(machine.mem.persistent)

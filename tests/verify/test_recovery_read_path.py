@@ -50,7 +50,7 @@ def test_recovery_reads_only_through_loads(name, variant, threads, monkeypatch):
         post = machine.after_crash_with_image(
             machine.mem.persistent, replay=True
         )
-        rebound = workload.bind(post, num_threads=threads, create=False)
+        rebound = workload.bind(post, num_threads=threads)
         with monkeypatch.context() as patch:
             patch.setattr(MemoryState, "persisted", _untimed_read)
             post.run(rebound.recovery_threads(variant))

@@ -177,7 +177,7 @@ class TestReplayLoopMatchesGeneralScheduler:
             post = machine.after_crash_with_image(
                 machine.mem.persistent, replay=True
             )
-            rebound = wl.bind(post, num_threads=2, create=False)
+            rebound = wl.bind(post, num_threads=2)
             kwargs = {"op_limit": 10**9} if force_general else {}
             result = post.run(rebound.recovery_threads("ep"), **kwargs)
             runs.append((result, post, rebound.verify()))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import WorkloadError
+from repro.errors import AddressError, WorkloadError
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.isa import Load, Store
 from repro.sim.machine import Machine
@@ -48,15 +48,17 @@ class TestPArray:
 
     def test_rebind(self):
         m = tiny_machine()
-        PArray(m, "x", 4)
-        again = PArray(m, "x", 4, create=False)
+        PArray(m, "x", 4).fill([1.0, 2.0, 3.0, 4.0])
+        post = m.after_crash()
+        again = PArray(post, "x", 4)
         assert again.region == m.region("x")
+        assert again.values() == [1.0, 2.0, 3.0, 4.0]
 
     def test_rebind_size_mismatch(self):
         m = tiny_machine()
         PArray(m, "x", 4)
-        with pytest.raises(WorkloadError):
-            PArray(m, "x", 5, create=False)
+        with pytest.raises(AddressError):
+            PArray(m.after_crash(), "x", 5)
 
     def test_to_numpy(self):
         m = tiny_machine()

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 import random
 
+from repro.cli import _CRASHCHECK_PARAMS
 from repro.errors import WorkloadError
-from repro.sim.config import CacheConfig, MachineConfig
+from repro.schemes import SCHEME_LP
+from repro.sim.config import CacheConfig, MachineConfig, tiny_machine
 from repro.sim.machine import Machine
 from repro.workloads.base import integer_matrix
+from repro.workloads.registry import available_workloads, get_workload
 from repro.workloads.tmm import TiledMatMul
+from tests.sim.test_machine import POST_CRASH
 
 
 def machine():
@@ -64,3 +68,27 @@ class TestBoundWorkload:
         wl.check_variant("lp")
         with pytest.raises(WorkloadError):
             wl.check_variant("bogus")
+
+
+@pytest.mark.parametrize("rebuild", sorted(POST_CRASH))
+@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize("name", available_workloads())
+def test_rebind_on_post_crash_machine_writes_nothing(name, threads, rebuild):
+    """Binding on a post-crash machine re-attaches: the image and the
+    allocator the crashed machine shares stay exactly as they were."""
+    spec = get_workload(name)(**_CRASHCHECK_PARAMS[name])
+    replay = Machine(tiny_machine(), _replay=True)
+    ops = replay.run(
+        spec.bind(replay, num_threads=threads).threads(SCHEME_LP)
+    ).ops_executed
+    machine = Machine(tiny_machine())
+    bound = spec.bind(machine, num_threads=threads)
+    assert machine.run(bound.threads(SCHEME_LP), crash_at_op=ops // 2).crashed
+
+    post = POST_CRASH[rebuild](machine)
+    arch, persistent = dict(post.mem.arch), dict(post.mem.persistent)
+    regions = post.allocator.regions
+    spec.bind(post, num_threads=threads)
+    assert post.mem.arch == arch
+    assert post.mem.persistent == persistent
+    assert post.allocator.regions == regions

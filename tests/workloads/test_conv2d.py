@@ -94,7 +94,7 @@ class TestCrashRecovery:
         res, post = run_with_crash(m, bound.threads("lp"), CrashPlan(at_op=at_op))
         if not res.crashed:
             pytest.skip("workload finished before crash point")
-        rb = wl.bind(post, num_threads=2, create=False)
+        rb = wl.bind(post, num_threads=2)
         post.run(rb.recovery_threads("lp"))
         assert rb.verify()
 
@@ -106,7 +106,7 @@ class TestCrashRecovery:
         m.run(bound.threads("lp"))
         m.drain()
         post = m.after_crash()
-        rb = wl.bind(post, num_threads=2, create=False)
+        rb = wl.bind(post, num_threads=2)
         marks = []
         post.on_mark = lambda mark, cid, clock: marks.append(mark.label)
         post.run(rb.recovery_threads("lp"))

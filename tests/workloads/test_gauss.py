@@ -80,7 +80,7 @@ class TestCrashRecovery:
         res, post = run_with_crash(m, bound.threads("lp"), CrashPlan(at_op=at_op))
         if not res.crashed:
             pytest.skip("finished before crash point")
-        rb = wl.bind(post, num_threads=2, create=False)
+        rb = wl.bind(post, num_threads=2)
         post.run(rb.recovery_threads("lp"))
         assert rb.verify()
 
@@ -89,10 +89,10 @@ class TestCrashRecovery:
         m = machine()
         bound = wl.bind(m, num_threads=2)
         _, post1 = run_with_crash(m, bound.threads("lp"), CrashPlan(at_op=2500))
-        rb1 = wl.bind(post1, num_threads=2, create=False)
+        rb1 = wl.bind(post1, num_threads=2)
         res2 = post1.run(rb1.recovery_threads("lp"), crash_at_op=2000)
         assert res2.crashed
         post2 = post1.after_crash()
-        rb2 = wl.bind(post2, num_threads=2, create=False)
+        rb2 = wl.bind(post2, num_threads=2)
         post2.run(rb2.recovery_threads("lp"))
         assert rb2.verify()

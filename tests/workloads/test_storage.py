@@ -118,7 +118,7 @@ class TestCrashRecovery:
             machine, bound.threads(variant), CrashPlan(at_op=60)
         )
         assert result.crashed
-        rebound = wl.bind(post, num_threads=2, create=False)
+        rebound = wl.bind(post, num_threads=2)
         post.run(rebound.recovery_threads(variant))
         assert rebound.verify()
         # Recovery is eager (paper III-E): the exact output must be in

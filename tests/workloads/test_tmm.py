@@ -118,7 +118,7 @@ class TestCrashRecovery:
         bound = wl.bind(m, num_threads=threads)
         plan = CrashPlan(at_op=at_op) if at_mark is None else CrashPlan(at_mark=at_mark)
         result, post = run_with_crash(m, bound.threads("lp"), plan)
-        rebound = wl.bind(post, num_threads=threads, create=False)
+        rebound = wl.bind(post, num_threads=threads)
         rres = post.run(rebound.recovery_threads("lp"))
         return result, rres, rebound
 
@@ -157,7 +157,7 @@ class TestCrashRecovery:
                 m, bound.threads("lp"), CrashPlan(at_op=at_op)
             )
             assert result.crashed
-            rebound = wl.bind(post, num_threads=2, create=False)
+            rebound = wl.bind(post, num_threads=2)
             rres = post.run(rebound.recovery_threads("lp"))
             assert rebound.verify()
             costs.append(rres.ops_executed)
@@ -170,12 +170,12 @@ class TestCrashRecovery:
         bound = wl.bind(m, num_threads=2)
         _, post1 = run_with_crash(m, bound.threads("lp"), CrashPlan(at_op=9000))
 
-        rebound1 = wl.bind(post1, num_threads=2, create=False)
+        rebound1 = wl.bind(post1, num_threads=2)
         res2 = post1.run(rebound1.recovery_threads("lp"), crash_at_op=7000)
         assert res2.crashed
         post2 = post1.after_crash()
 
-        rebound2 = wl.bind(post2, num_threads=2, create=False)
+        rebound2 = wl.bind(post2, num_threads=2)
         post2.run(rebound2.recovery_threads("lp"))
         assert rebound2.verify()
 
@@ -188,6 +188,6 @@ class TestCrashRecovery:
         m.run(bound.threads("lp"))
         m.drain()
         post = m.after_crash()  # graceful: NVMM == final state
-        rebound = wl.bind(post, num_threads=2, create=False)
+        rebound = wl.bind(post, num_threads=2)
         post.run(rebound.recovery_threads("lp"))
         assert rebound.verify()

@@ -61,7 +61,7 @@ class TestGranularities:
         res, post = run_with_crash(m, bound.threads("lp"), CrashPlan(at_op=at_op))
         if not res.crashed:
             pytest.skip("finished first")
-        rb = wl.bind(post, num_threads=2, create=False)
+        rb = wl.bind(post, num_threads=2)
         post.run(rb.recovery_threads("lp"))
         assert rb.verify()
 
@@ -105,7 +105,7 @@ class TestDrainedRecovery:
         m.run(bound.threads("lp"))
         m.drain()
         post = m.after_crash()
-        rb = wl.bind(post, num_threads=2, create=False)
+        rb = wl.bind(post, num_threads=2)
         marks = []
         post.on_mark = lambda mark, cid, clock: marks.append(mark.label)
         res = post.run(rb.recovery_threads("lp"))
@@ -124,7 +124,7 @@ class TestIncrementalRepair:
         bound = wl.bind(m, num_threads=2)
         res, post = run_with_crash(m, bound.threads("lp"), CrashPlan(at_op=at_op))
         assert res.crashed
-        rb = wl.bind(post, num_threads=2, create=False)
+        rb = wl.bind(post, num_threads=2)
         rres = post.run(rb.recovery_threads("lp"))
         return rb, rres
 
@@ -144,11 +144,11 @@ class TestIncrementalRepair:
         m.cleaner = PeriodicCleaner(400.0)
         bound = wl.bind(m, num_threads=2)
         _, post1 = run_with_crash(m, bound.threads("lp"), CrashPlan(at_op=20000))
-        rb1 = wl.bind(post1, num_threads=2, create=False)
+        rb1 = wl.bind(post1, num_threads=2)
         r2 = post1.run(rb1.recovery_threads("lp"), crash_at_op=5000)
         assert r2.crashed
         post2 = post1.after_crash()
-        rb2 = wl.bind(post2, num_threads=2, create=False)
+        rb2 = wl.bind(post2, num_threads=2)
         post2.run(rb2.recovery_threads("lp"))
         assert rb2.verify()
 
@@ -167,7 +167,7 @@ class TestEmbeddedOrganization:
         bound = wl.bind(m, num_threads=2)
         res, post = run_with_crash(m, bound.threads("lp"), CrashPlan(at_op=9000))
         assert res.crashed
-        rb = wl.bind(post, num_threads=2, create=False)
+        rb = wl.bind(post, num_threads=2)
         post.run(rb.recovery_threads("lp"))
         assert rb.verify()
 
