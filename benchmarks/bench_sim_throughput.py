@@ -25,10 +25,13 @@ Two numbers justify the semantics/timing split:
   that checker rather than against the heap scheduler's inlined
   L1-hit load.
 
-``test_throughput_ratchet`` additionally holds an absolute rate
-above a committed floor (``benchmarks/baselines/throughput_floor.json``):
-the detailed-timing heap scheduler's ops/sec, the path behind every
-paper figure.  It is ratcheted the same way
+``test_throughput_ratchet`` additionally holds absolute rates above
+committed floors (``benchmarks/baselines/throughput_floor.json``), one
+per leg of the detailed-timing heap scheduler: ``detailed``, the
+read-dominant kernel path behind every paper figure, and ``persist``,
+the flush-heavy path of the storage workloads (every store's line is
+journaled, flushed and fenced, so RFO misses, MC writes and full
+queues dominate).  Each is ratcheted the same way
 ``repro regress --update-baselines`` ratchets perf baselines (set
 ``REPRO_UPDATE_FLOOR=1`` to raise it to the measured rate; it never
 lowers itself).  ``REPRO_FLOOR_SCALE`` multiplies the floor, which is
@@ -52,6 +55,7 @@ from repro.analysis.reporting import format_table
 from repro.sim.config import tiny_machine
 from repro.sim.machine import Machine
 from repro.verify import EnumerationPlan, check_variant
+from repro.workloads.storage import AppendLog
 from repro.workloads.tmm import TiledMatMul
 
 from bench_common import (
@@ -94,15 +98,15 @@ SPEEDUP_FLOOR = 1.3 if SMOKE else 3.0
 CAMPAIGN_RUNS = 2
 
 
-def _run_throughput(workload, make_machine, num_threads, runs=1):
-    """Ops/sec of one LP run on machines from ``make_machine`` (best of
-    ``runs``, each on a fresh machine; timer noise only adds)."""
+def _run_throughput(workload, make_machine, num_threads, runs=1, variant="lp"):
+    """Ops/sec of one ``variant`` run on machines from ``make_machine``
+    (best of ``runs``, each on a fresh machine; timer noise only adds)."""
     best = float("inf")
     for _ in range(runs):
         machine = make_machine()
         bound = workload.bind(machine, num_threads=num_threads)
         t0 = time.perf_counter()
-        result = machine.run(bound.threads("lp"))
+        result = machine.run(bound.threads(variant))
         best = min(best, time.perf_counter() - t0)
         assert bound.verify()
     return result.ops_executed, best
@@ -224,24 +228,29 @@ def test_sim_throughput(benchmark):
 # absolute throughput ratchet (the CI `throughput-ratchet` job)
 # ----------------------------------------------------------------------
 
-#: Fixed tiny preset: always this size, regardless of REPRO_SMOKE, so
-#: the committed floor means the same thing on every run of the job.
-RATCHET_PRESET = dict(n=24, bsize=8)
+#: Fixed tiny presets, leg -> (workload, variant): always these sizes,
+#: regardless of REPRO_SMOKE, so each committed floor means the same
+#: thing on every run of the job.
+RATCHET_LEGS = {
+    "detailed": (lambda: TiledMatMul(n=24, bsize=8), "lp"),
+    "persist": (lambda: AppendLog(records=128, width=8), "write_behind"),
+}
 RATCHET_THREADS = 2
 
 
-def ratchet_measurement():
-    """Ops/sec of the heap scheduler under detailed timing on the fixed
-    tiny preset (best of 5)."""
-    workload = TiledMatMul(**RATCHET_PRESET)
+def ratchet_measurement(leg):
+    """Ops/sec of the heap scheduler under detailed timing on ``leg``'s
+    fixed tiny preset (best of 5)."""
+    make_workload, variant = RATCHET_LEGS[leg]
     return _run_throughput(
-        workload, partial(Machine, tiny_machine()), RATCHET_THREADS, runs=5
+        make_workload(), partial(Machine, tiny_machine()), RATCHET_THREADS,
+        runs=5, variant=variant,
     )
 
 
-@pytest.mark.parametrize("leg", ["detailed"])
+@pytest.mark.parametrize("leg", list(RATCHET_LEGS))
 def test_throughput_ratchet(leg):
-    """The detailed-timing forward path may only ever get faster.
+    """The detailed-timing forward paths may only ever get faster.
 
     Fails when measured ops/sec of ``leg`` on the fixed preset drops
     below its committed floor.  ``REPRO_FLOOR_SCALE=<x>`` multiplies
@@ -253,7 +262,7 @@ def test_throughput_ratchet(leg):
     with open(FLOOR_PATH) as fh:
         floors = json.load(fh)
     baseline = floors[leg]
-    events, elapsed = ratchet_measurement()
+    events, elapsed = ratchet_measurement(leg)
     rate = events / elapsed
 
     if os.environ.get("REPRO_UPDATE_FLOOR", "") == "1":

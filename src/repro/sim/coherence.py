@@ -15,6 +15,10 @@ controller:
 Because the machine scheduler serialises ops, protocol transient states
 and races do not arise; transitions are applied atomically at the
 issuing core's clock.
+
+As in gem5's MESI_Two_Level, an owner/sharer directory at the L2 names
+each line's L1 holders, so a miss, upgrade, flush or L2 eviction finds
+them without probing every L1.
 """
 
 from __future__ import annotations
@@ -119,26 +123,29 @@ class Hierarchy:
             Cache(config.l1, name=f"L1[{i}]") for i in range(config.num_cores)
         ]
         self.l2 = Cache(config.l2, name="L2")
+        #: The owner/sharer directory: line address -> {core id: that
+        #: core's L1 line} for every line some L1 holds.  Every L1 fill
+        #: and removal goes through :meth:`_install_l1` and
+        #: :meth:`_remove_l1`, its only writers.
+        self._directory: Dict[int, Dict[int, Line]] = {}
 
     # ------------------------------------------------------------------
-    # directory scans (L1 population is small; derive sharers by probing)
+    # directory lookups (no L1 is probed)
     # ------------------------------------------------------------------
 
     def _owner(self, line_addr: int, exclude: int = -1) -> Optional[int]:
         """Core holding the line in M (at most one), or None."""
-        for cid, l1 in enumerate(self.l1s):
-            if cid == exclude:
-                continue
-            line = l1.get(line_addr)
-            if line is not None and line.state is State.MODIFIED:
+        for cid, line in self._directory.get(line_addr, {}).items():
+            if cid != exclude and line.state is State.MODIFIED:
                 return cid
         return None
 
     def _sharers(self, line_addr: int, exclude: int = -1) -> List[int]:
+        """Cores other than ``exclude`` whose L1 holds the line."""
         return [
             cid
-            for cid, l1 in enumerate(self.l1s)
-            if cid != exclude and l1.contains(line_addr)
+            for cid in self._directory.get(line_addr, {})
+            if cid != exclude
         ]
 
     # ------------------------------------------------------------------
@@ -168,9 +175,8 @@ class Hierarchy:
         else:
             # A remote EXCLUSIVE copy must drop to SHARED so its core
             # cannot later write it without an upgrade.
-            for cid in self._sharers(line_addr, exclude=core_id):
-                remote = self.l1s[cid].get(line_addr)
-                if remote is not None and remote.state is State.EXCLUSIVE:
+            for remote in self._directory.get(line_addr, {}).values():
+                if remote.state is State.EXCLUSIVE:
                     remote.state = State.SHARED
 
         l2_line = self.l2.access(line_addr)
@@ -183,7 +189,7 @@ class Hierarchy:
             if self._sharers(line_addr, exclude=core_id)
             else State.EXCLUSIVE
         )
-        latency += self._install_l1(core_id, line_addr, state, now + latency)
+        self._install_l1(core_id, line_addr, state, now + latency)
         return Access(l1_hit=False, extra_latency=latency)
 
     # ------------------------------------------------------------------
@@ -233,7 +239,7 @@ class Hierarchy:
                 return _L1_HIT
             # SHARED: upgrade, invalidating the other copies.
             for cid in self._sharers(line_addr, exclude=core_id):
-                self.l1s[cid].remove(line_addr)
+                self._remove_l1(cid, line_addr)
             line.state = State.MODIFIED
             line.dirty_since = now
             return Access(l1_hit=True, extra_latency=self.timing.coherence_cycles)
@@ -245,22 +251,20 @@ class Hierarchy:
 
         owner = self._owner(line_addr, exclude=core_id)
         if owner is not None:
-            owner_line = self.l1s[owner].remove(line_addr)
+            owner_line = self._remove_l1(owner, line_addr)
             # Ownership (and the un-persisted data obligation) transfers.
             inherited_dirty_since = owner_line.dirty_since
             latency += self.timing.coherence_cycles
         for cid in self._sharers(line_addr, exclude=core_id):
-            self.l1s[cid].remove(line_addr)
+            self._remove_l1(cid, line_addr)
 
         if self.l2.access(line_addr) is None:
             self.stats.l2_misses += 1
             latency += self._fill_l2(line_addr, now + latency)
 
-        latency += self._install_l1(
+        new_line = self._install_l1(
             core_id, line_addr, State.MODIFIED, now + latency
         )
-        new_line = self.l1s[core_id].get(line_addr)
-        assert new_line is not None
         new_line.dirty_since = (
             now if inherited_dirty_since is None else inherited_dirty_since
         )
@@ -304,7 +308,7 @@ class Hierarchy:
             dirty = True
             dirty_since = owner_line.dirty_since
             if invalidate:
-                self.l1s[owner].remove(line_addr)
+                self._remove_l1(owner, line_addr)
             else:
                 owner_line.state = State.EXCLUSIVE
                 owner_line.dirty_since = None
@@ -323,7 +327,7 @@ class Hierarchy:
 
         if invalidate:
             for cid in self._sharers(line_addr):
-                self.l1s[cid].remove(line_addr)
+                self._remove_l1(cid, line_addr)
             if l2_line is not None:
                 self.l2.remove(line_addr)
 
@@ -374,10 +378,8 @@ class Hierarchy:
         """Evict an L2 line: back-invalidate L1 copies, persist if dirty."""
         dirty = victim.dirty
         dirty_since = victim.dirty_since
-        for l1 in self.l1s:
-            l1_line = l1.get(victim.addr)
-            if l1_line is None:
-                continue
+        for cid in self._sharers(victim.addr):
+            l1_line = self._remove_l1(cid, victim.addr)
             if l1_line.state is State.MODIFIED:
                 dirty = True
                 if dirty_since is None or (
@@ -385,7 +387,6 @@ class Hierarchy:
                     and l1_line.dirty_since < dirty_since
                 ):
                     dirty_since = l1_line.dirty_since
-            l1.remove(victim.addr)
         self.l2.remove(victim.addr)
         if not dirty:
             return 0.0
@@ -398,17 +399,27 @@ class Hierarchy:
 
     def _install_l1(
         self, core_id: int, line_addr: int, state: State, now: float
-    ) -> float:
-        """Install into an L1, evicting its LRU victim first if needed."""
+    ) -> Line:
+        """Install into an L1, evicting its LRU victim first if needed,
+        and record the new copy in the directory; returns it."""
         l1 = self.l1s[core_id]
-        latency = 0.0
         victim = l1.victim_for(line_addr)
         if victim is not None:
             if victim.state is State.MODIFIED:
                 self._merge_dirty_into_l2(victim, now)
-            l1.remove(victim.addr)
-        l1.install(line_addr, state)
-        return latency
+            self._remove_l1(core_id, victim.addr)
+        line = l1.install(line_addr, state)
+        self._directory.setdefault(line_addr, {})[core_id] = line
+        return line
+
+    def _remove_l1(self, core_id: int, line_addr: int) -> Line:
+        """Drop a line from one L1 and from the directory; returns it."""
+        line = self.l1s[core_id].remove(line_addr)
+        holders = self._directory[line_addr]
+        del holders[core_id]
+        if not holders:
+            del self._directory[line_addr]
+        return line
 
     def _merge_dirty_into_l2(self, l1_line: Line, now: float) -> None:
         """Write an L1 ``M`` line's data down into the inclusive L2."""
@@ -464,6 +475,27 @@ class Hierarchy:
                             f"{owners[line.addr]} and {cid}"
                         )
                     owners[line.addr] = cid
+
+    def check_directory(self) -> None:
+        """Assert the directory records exactly the L1s' lines: the same
+        cores, holding the same :class:`Line` objects (test hook)."""
+        from repro.errors import SimulationError
+
+        held: Dict[int, Dict[int, int]] = {}
+        for cid, l1 in enumerate(self.l1s):
+            for line in l1.lines():
+                held.setdefault(line.addr, {})[cid] = id(line)
+        recorded = {
+            addr: {cid: id(line) for cid, line in holders.items()}
+            for addr, holders in self._directory.items()
+        }
+        for addr in held.keys() | recorded.keys():
+            if held.get(addr) != recorded.get(addr):
+                raise SimulationError(
+                    f"directory disagrees with the L1s on {addr:#x}: it "
+                    f"records cores {sorted(recorded.get(addr, ()))}, the "
+                    f"L1s hold the line in {sorted(held.get(addr, ()))}"
+                )
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, ClassVar, Dict, Optional, Tuple, Type
 
 from repro.errors import ConfigError, SimulationError
 from repro.sim.config import CoreConfig, MachineConfig, NVMMConfig
@@ -278,7 +278,10 @@ class DetailedCoreTiming(CoreTiming):
 
 class DetailedMCTiming(MCTiming):
     """MC write/read queue + device pipe timing (pre-refactor
-    ``MemoryController`` arithmetic, moved verbatim)."""
+    ``MemoryController`` arithmetic).  Both queues are the
+    :class:`~repro.sim.queues.BoundedQueue` the cores' store buffers,
+    flush queues and MSHRs use; a request waits for a queue slot, then
+    for its device pipe."""
 
     def __init__(
         self, config: NVMMConfig, ledger: Optional[LatencyLedger] = None
@@ -290,23 +293,23 @@ class DetailedMCTiming(MCTiming):
         #: Time the device read path frees up.
         self._read_pipe_free = 0.0
         #: Completion times of writes currently occupying queue slots.
-        self._write_queue: List[float] = []
+        self._write_queue = BoundedQueue(
+            config.write_queue_depth, "mc_write_queue"
+        )
         #: Completion times of reads currently occupying queue slots.
-        self._read_queue: List[float] = []
+        self._read_queue = BoundedQueue(
+            config.read_queue_depth, "mc_read_queue"
+        )
 
     def read(self, now: float) -> float:
-        self._read_queue = [t for t in self._read_queue if t > now]
-        start = now
-        if len(self._read_queue) >= self.config.read_queue_depth:
-            start = min(self._read_queue)
-        start = max(start, self._read_pipe_free)
+        start = max(self._read_queue.earliest_free(now), self._read_pipe_free)
         self._read_pipe_free = start + self.config.read_service_cycles
         completion = start + self.config.read_cycles
-        self._read_queue.append(completion)
+        self._read_queue.push(completion)
         return completion
 
     def write(self, now: float) -> Tuple[float, float]:
-        accept_time = max(now, self._queue_slot_free_time(now))
+        accept_time = self._write_queue.earliest_free(now)
         if self.ledger is not None:
             self.ledger.queue_delay("mc_write_queue", accept_time - now)
         # The write occupies the device pipe for its service time; its
@@ -314,15 +317,8 @@ class DetailedMCTiming(MCTiming):
         start = max(accept_time, self._write_pipe_free)
         self._write_pipe_free = start + self.config.write_service_cycles
         completion = start + self.config.write_cycles
-        self._write_queue.append(completion)
+        self._write_queue.push(completion)
         return accept_time, completion
-
-    def _queue_slot_free_time(self, now: float) -> float:
-        """Earliest time a write-queue slot is free."""
-        self._write_queue = [t for t in self._write_queue if t > now]
-        if len(self._write_queue) < self.config.write_queue_depth:
-            return now
-        return min(self._write_queue)
 
     @property
     def write_queue_occupancy(self) -> int:

@@ -71,6 +71,7 @@ def test_tmm_exact_under_any_schedule(seed):
     m.run(bound.threads("lp"))
     m.hierarchy.check_inclusion()
     m.hierarchy.check_single_writer()
+    m.hierarchy.check_directory()
     assert bound.verify()
 
 
