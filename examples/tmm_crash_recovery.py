@@ -12,7 +12,21 @@ Run:  python examples/tmm_crash_recovery.py [crash_op]
 import sys
 
 from repro import CrashPlan, Machine, run_with_crash, scaled_machine
+from repro.obs import probed
+from repro.sim.isa import RegionMark
 from repro.workloads.tmm import TiledMatMul
+
+
+class MarkLog:
+    """Probe observer keeping the labels of the region marks a run
+    executes, read off the probe bus's op channel."""
+
+    def __init__(self) -> None:
+        self.labels = []
+
+    def on_op(self, ev) -> None:
+        if type(ev.op) is RegionMark:
+            self.labels.append(ev.op.label)
 
 
 def main() -> None:
@@ -40,11 +54,11 @@ def main() -> None:
 
     # recovery runs on the post-crash machine: cold caches, NVMM image
     rebound = wl.bind(post, num_threads=threads)
-    marks = []
-    post.on_mark = lambda mark, cid, clock: marks.append(mark.label)
-    rres = post.run(rebound.recovery_threads("lp"))
+    marks = MarkLog()
+    with probed(post, [marks]):
+        rres = post.run(rebound.recovery_threads("lp"))
 
-    repairs = [m for m in marks if "repair" in m]
+    repairs = [m for m in marks.labels if "repair" in m]
     print(f"recovery: {rres.ops_executed} ops, "
           f"{rres.exec_cycles:.0f} cycles, {len(repairs)} blocks repaired")
     for label in repairs[:8]:

@@ -33,6 +33,8 @@ class ExperimentResult:
     max_volatility_cycles: float
     hazards: Dict[str, int]
     writes_by_cause: Dict[str, int] = field(default_factory=dict)
+    #: ``run_variant`` raises on a wrong result, so a result it returns
+    #: is always verified.
     verified: bool = True
     ops_executed: int = 0
     cleaner_writes: int = 0
@@ -116,7 +118,6 @@ def run_variant(
     num_threads: int = 8,
     engine: str = "modular",
     cleaner_period: Optional[float] = None,
-    verify: bool = True,
     drain: bool = False,
     obs_interval: Optional[float] = None,
     observers: Optional[Sequence[object]] = None,
@@ -171,8 +172,7 @@ def run_variant(
     in_window_writes = result.stats.nvmm_writes
     drain_writes = machine.drain() if drain else 0
 
-    verified = bound.verify() if verify else True
-    if verify and not verified:
+    if not bound.verify():
         raise WorkloadError(
             f"{workload.name}/{variant} produced a wrong result; "
             f"max error {bound.verification_error()}"
@@ -189,7 +189,6 @@ def run_variant(
         max_volatility_cycles=result.stats.max_volatility_cycles,
         hazards=result.stats.hazard_totals(),
         writes_by_cause=dict(result.stats.writes_by_cause),
-        verified=verified,
         ops_executed=result.ops_executed,
         cleaner_writes=result.stats.writes_by_cause.get("cleaner", 0),
         stalls=result.stats.stall_summary(),

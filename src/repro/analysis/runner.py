@@ -166,7 +166,6 @@ class Job:
     num_threads: int = 8
     engine: str = "modular"
     cleaner_period: Optional[float] = None
-    verify: bool = True
     drain: bool = False
 
     def cache_key(self) -> str:
@@ -178,7 +177,6 @@ class Job:
             "num_threads": self.num_threads,
             "engine": self.engine,
             "cleaner_period": self.cleaner_period,
-            "verify": self.verify,
             "drain": self.drain,
             "code": code_version(),
             "format": CACHE_FORMAT_VERSION,
@@ -210,7 +208,6 @@ class Job:
             num_threads=self.num_threads,
             engine=self.engine,
             cleaner_period=self.cleaner_period,
-            verify=self.verify,
             drain=self.drain,
         )
 

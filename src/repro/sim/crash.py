@@ -21,24 +21,18 @@ from repro.sim.persist import CrashStateSpace
 class CrashPlan:
     """Where to stop the run.  Exactly one trigger must be set.
 
-    ``at_flush`` stops right after the Nth flush op — a persist
-    boundary, where a just-accepted flush has no ordering fence behind
-    it yet and the reachable-image set is at its widest.  Crash-state
-    campaigns sweep it alongside coarse ``at_op`` grids.
+    ``at_op`` stops with exactly N ops executed, before the next
+    fetched op runs.  ``at_flush`` stops right after the Nth flush op
+    — a persist boundary, where a just-accepted flush has no ordering
+    fence behind it yet and the reachable-image set is at its widest.
+    Crash-state campaigns sweep it alongside coarse ``at_op`` grids.
     """
 
     at_op: Optional[int] = None
-    at_cycle: Optional[float] = None
-    at_mark: Optional[int] = None
     at_flush: Optional[int] = None
 
     def __post_init__(self) -> None:
-        triggers = [
-            t
-            for t in (self.at_op, self.at_cycle, self.at_mark, self.at_flush)
-            if t is not None
-        ]
-        if len(triggers) != 1:
+        if (self.at_op is None) == (self.at_flush is None):
             raise ConfigError("CrashPlan needs exactly one trigger")
 
 
@@ -56,11 +50,7 @@ def run_with_crash(
     failure or a no-crash control case).
     """
     result = machine.run(
-        threads,
-        crash_at_op=plan.at_op,
-        crash_at_cycle=plan.at_cycle,
-        crash_at_mark=plan.at_mark,
-        crash_at_flush=plan.at_flush,
+        threads, crash_at_op=plan.at_op, crash_at_flush=plan.at_flush
     )
     return result, machine.after_crash()
 
@@ -80,11 +70,7 @@ def run_to_crash_space(
     simulated schedule produced.
     """
     result = machine.run(
-        threads,
-        crash_at_op=plan.at_op,
-        crash_at_cycle=plan.at_cycle,
-        crash_at_mark=plan.at_mark,
-        crash_at_flush=plan.at_flush,
+        threads, crash_at_op=plan.at_op, crash_at_flush=plan.at_flush
     )
     if not result.crashed:
         return result, None

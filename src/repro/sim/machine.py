@@ -5,10 +5,10 @@ scheduler always advances the runnable core with the smallest local
 clock, so multicore interleavings are timing-driven and deterministic.
 Execution time of a run is the slowest core's final clock.
 
-Crash injection stops the run after a chosen number of ops, cycles, or
-region marks; everything the MC accepted up to that point is durable
-(ADR) and everything else is lost.  :meth:`Machine.after_crash` builds
-the post-failure machine: cold caches, fresh clocks, and an
+Crash injection stops the run after a chosen number of ops or right
+after a chosen flush; everything the MC accepted up to that point is
+durable (ADR) and everything else is lost.  :meth:`Machine.after_crash`
+builds the post-failure machine: cold caches, fresh clocks, and an
 architectural state equal to the NVMM image — exactly what recovery
 code observes on real hardware after power loss.
 """
@@ -73,7 +73,6 @@ class RunResult:
     stats: MachineStats
     crashed: bool
     ops_executed: int
-    region_marks: int
     finished_threads: int
     total_threads: int
     #: Flush/FlushWB ops executed (bounds the at_flush crash trigger).
@@ -195,8 +194,6 @@ class Machine:
         self.cleaner = None
         #: Seeded tie-breaker for jittered scheduling (deterministic).
         self._sched_rng = random.Random(config.schedule_seed)
-        #: Optional callback invoked on every RegionMark (tracing/tests).
-        self.on_mark: Optional[Callable[[RegionMark, int, float], None]] = None
 
     # ------------------------------------------------------------------
     # memory management
@@ -245,12 +242,9 @@ class Machine:
         threads: Iterable[ThreadGen],
         *,
         crash_at_op: Optional[int] = None,
-        crash_at_cycle: Optional[float] = None,
-        crash_at_mark: Optional[int] = None,
         crash_at_flush: Optional[int] = None,
-        op_limit: Optional[int] = None,
     ) -> RunResult:
-        """Drive thread generators to completion (or crash/limit).
+        """Drive thread generators to completion (or to the crash).
 
         Threads are assigned to cores in order; the paper's runs use
         one master + N worker threads on N+1 cores, which callers model
@@ -267,12 +261,8 @@ class Machine:
         if (
             self.replay
             and crash_at_op is None
-            and crash_at_cycle is None
-            and crash_at_mark is None
             and crash_at_flush is None
-            and op_limit is None
             and self.cleaner is None
-            and self.on_mark is None
             and not self.config.schedule_jitter
             and getattr(self, "_probe_session", None) is None
         ):
@@ -288,7 +278,6 @@ class Machine:
         sends = [gen.send for gen in gens]
         mc = self.mc
         cleaner = self.cleaner
-        on_mark = self.on_mark
         jitter = self.config.schedule_jitter
         uniform = self._sched_rng.uniform
         heappop = heapq.heappop
@@ -310,14 +299,13 @@ class Machine:
         # is the whole effect of the op: no instance-level Core.execute
         # or CoreTiming.on_event (the op and memory-event probe taps
         # shadow these and must see every op; no other tap fires on an
-        # L1 hit), no cleaner or mark hook, the full coherent hierarchy
-        # and detailed core timing.  tests/sim/test_detailed_fastpath.py
-        # pins it to Core.execute.
+        # L1 hit), no cleaner, the full coherent hierarchy and detailed
+        # core timing.  tests/sim/test_detailed_fastpath.py pins it to
+        # Core.execute.
         hierarchy = self.hierarchy
         inline_hits = False
         if (
             cleaner is None
-            and on_mark is None
             and type(hierarchy) is Hierarchy
             and all(
                 type(core.timer) is DetailedCoreTiming
@@ -335,7 +323,6 @@ class Machine:
 
         pending_result: List[Optional[float]] = [None] * len(gens)
         ops_executed = 0
-        region_marks = 0
         flush_ops = 0
         crashed = False
         finished = 0
@@ -373,12 +360,6 @@ class Machine:
             if crash_at_op is not None and ops_executed >= crash_at_op:
                 crashed = True
                 mc.discard_in_flight(timer.clock)
-                break
-            if crash_at_cycle is not None and timer.clock >= crash_at_cycle:
-                crashed = True
-                mc.discard_in_flight(timer.clock)
-                break
-            if op_limit is not None and ops_executed >= op_limit:
                 break
 
             line: Optional[Line] = None
@@ -426,18 +407,6 @@ class Machine:
                         mc.discard_in_flight(timer.clock)
                         break
 
-                if op_type is RegionMark:
-                    region_marks += 1
-                    if on_mark is not None:
-                        on_mark(op, cid, timer.clock)
-                    if (
-                        crash_at_mark is not None
-                        and region_marks >= crash_at_mark
-                    ):
-                        crashed = True
-                        mc.discard_in_flight(timer.clock)
-                        break
-
                 if cleaner is not None:
                     cleaner.maybe_clean(self.hierarchy, timer.clock)
 
@@ -453,7 +422,6 @@ class Machine:
             stats=self.stats,
             crashed=crashed,
             ops_executed=ops_executed,
-            region_marks=region_marks,
             finished_threads=finished,
             total_threads=len(gens),
             flush_ops=flush_ops,
@@ -480,7 +448,6 @@ class Machine:
         mem_store = self.mem.store
         pending: List[Optional[float]] = [None] * len(gens)
         ops_executed = 0
-        region_marks = 0
         flush_ops = 0
         finished = 0
         barrier_wait: List[_ReplaySlot] = []
@@ -560,11 +527,8 @@ class Machine:
                     stats.ops += 1
                     pending[cid] = handler(core, op)
                     ops_executed += 1
-                    if op_type is RegionMark:
-                        region_marks += 1
+                    if op_type is RegionMark or op_type is Phase:
                         continue  # free op: the core keeps its turn
-                    if op_type is Phase:
-                        continue  # free op (provenance frame): same deal
                     if op_type is Flush or op_type is FlushWB:
                         flush_ops += 1
                     break
@@ -592,7 +556,6 @@ class Machine:
             stats=self.stats,
             crashed=False,
             ops_executed=ops_executed,
-            region_marks=region_marks,
             finished_threads=finished,
             total_threads=len(gens),
             flush_ops=flush_ops,
@@ -615,7 +578,7 @@ class Machine:
         """
         return Machine(
             self.config,
-            _mem=self.mem.crashed_copy(),
+            _mem=MemoryState.from_image(self.mem.persistent),
             _allocator=self.allocator,
         )
 

@@ -204,9 +204,3 @@ def model_names() -> List[str]:
 def enumerable_model_names() -> List[str]:
     """Models for which crash-state enumeration is defined."""
     return [m.name for m in PERSISTENCY_MODELS.values() if m.enumerable]
-
-
-def litmus_model_names() -> List[str]:
-    """Models the litmus harness can cross-check (enumeration plus a
-    declarative spec; includes deliberately broken variants)."""
-    return enumerable_model_names()

@@ -169,10 +169,6 @@ class MemoryController:
         self._undo = [r for r in self._undo if r.completion <= crash_time]
         return len(lost)
 
-    def prune_undo(self, now: float) -> None:
-        """Drop undo records whose writes have completed (bookkeeping)."""
-        self._undo = [r for r in self._undo if r.completion > now]
-
     # -- introspection ----------------------------------------------------
 
     @property

@@ -258,10 +258,9 @@ def record_stream(
             "op streams encode the replay schedule; record on a "
             "Machine(_replay=True)"
         )
-    if machine.cleaner is not None or machine.on_mark is not None:
+    if machine.cleaner is not None:
         raise ConfigError(
-            "op-stream recording requires a trigger-free run "
-            "(no cleaner, no on_mark hook)"
+            "op-stream recording requires a trigger-free run (no cleaner)"
         )
     sink: List[Tuple[int, Op]] = []
     gens = [

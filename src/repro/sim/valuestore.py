@@ -97,10 +97,6 @@ class MemoryState:
 
     # -- crash ------------------------------------------------------------
 
-    def crashed_copy(self) -> "MemoryState":
-        """State as seen after power loss: only the NVMM image survives."""
-        return MemoryState.from_image(self.persistent)
-
     @classmethod
     def from_image(cls, image: Dict[int, Value]) -> "MemoryState":
         """State whose NVMM holds ``image`` and nothing else survives.
@@ -108,8 +104,9 @@ class MemoryState:
         This is the post-crash construction rule in one place: the
         architectural view equals the persistent image (recovery code
         reads exactly what the NVMM kept).  Used both for the schedule
-        the simulator happened to produce (:meth:`crashed_copy`) and
-        for any other member of a crash's reachable-image set
+        the simulator happened to produce
+        (:meth:`repro.sim.machine.Machine.after_crash`) and for any
+        other member of a crash's reachable-image set
         (:meth:`repro.sim.machine.Machine.after_crash_with_image`).
         """
         fresh = cls()

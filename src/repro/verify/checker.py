@@ -44,7 +44,7 @@ from repro.workloads.base import Workload
 def plan_to_dict(plan: CrashPlan) -> Dict[str, float]:
     """The one set trigger of a CrashPlan, as a serializable dict."""
     out: Dict[str, float] = {}
-    for key in ("at_op", "at_cycle", "at_mark", "at_flush"):
+    for key in ("at_op", "at_flush"):
         value = getattr(plan, key)
         if value is not None:
             out[key] = value
@@ -53,12 +53,7 @@ def plan_to_dict(plan: CrashPlan) -> Dict[str, float]:
 
 def plan_from_dict(d: Dict[str, float]) -> CrashPlan:
     """Inverse of :func:`plan_to_dict`."""
-    kwargs: Dict[str, float] = dict(d)
-    if "at_cycle" in kwargs:
-        kwargs["at_cycle"] = float(kwargs["at_cycle"])
-    return CrashPlan(
-        **{k: (v if k == "at_cycle" else int(v)) for k, v in kwargs.items()}
-    )
+    return CrashPlan(**{k: int(v) for k, v in d.items()})
 
 
 def describe_plan(plan: CrashPlan) -> str:

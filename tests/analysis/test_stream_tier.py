@@ -177,11 +177,12 @@ class TestJobTier:
         # default job keys exactly as it did while Job carried a tier
         # field, so cached machine results survived its removal.  A
         # deliberate re-key (a CACHE_FORMAT_VERSION bump, a new config
-        # field) updates this literal.
+        # field, a Job field dropped as ``verify`` was) updates this
+        # literal.
         monkeypatch.setattr(runner, "code_version", lambda: "0" * 64)
         plain = Job(_wl(), tiny_machine(), "lp", num_threads=2)
         assert plain.cache_key() == (
-            "95fe36051e78f06baaa1f90306a4c0060a2968ef07eb82928e246eede9e8f55b"
+            "c813babdddf92d87d49f1190e673514d39b0bf777477b939f55eed55028815e1"
         )
 
     def test_stream_job_runs_through_the_engine(self, tmp_path):

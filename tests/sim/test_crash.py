@@ -24,10 +24,10 @@ class TestCrashPlan:
         with pytest.raises(ConfigError):
             CrashPlan()
         with pytest.raises(ConfigError):
-            CrashPlan(at_op=1, at_cycle=5.0)
+            CrashPlan(at_op=1, at_flush=2)
         CrashPlan(at_op=1)
-        CrashPlan(at_cycle=5.0)
-        CrashPlan(at_mark=2)
+        CrashPlan(at_op=0)
+        CrashPlan(at_flush=2)
 
 
 class TestRunWithCrash:

@@ -9,11 +9,9 @@ would re-aim every campaign.  These tests nail the boundaries down:
 * ``crash_at_op=N`` fires *before* the fetched op executes — exactly N
   ops have executed when the machine stops;
 * ``crash_at_op=0`` crashes before any op executes;
-* ``crash_at_cycle`` fires before the fetched op executes, at the first
-  schedule point whose core clock has reached the threshold;
-* ``crash_at_flush=N`` / ``crash_at_mark=N`` fire right *after* the Nth
-  flush / mark executes (the persist-boundary semantics the checker's
-  flush-boundary grid depends on), including on the final op;
+* ``crash_at_flush=N`` fires right *after* the Nth flush executes (the
+  persist-boundary semantics the checker's flush-boundary grid depends
+  on), including on the final flush;
 * a trigger the run never reaches yields a graceful, uncrashed end.
 """
 
@@ -116,29 +114,6 @@ class TestAtOpBoundary:
 
 
 @pytest.mark.parametrize("timing", TIMINGS)
-class TestAtCycleBoundary:
-    def test_fires_before_the_fetched_op(self, timing):
-        # A crash threshold of 0.0 cycles fires at the very first
-        # schedule point: nothing executes.
-        executed = []
-        _, result = run_simple(timing, executed, crash_at_cycle=0.0)
-        assert result.crashed
-        assert result.ops_executed == 0
-        assert executed == []
-
-    def test_unreachable_cycle_never_fires(self, timing):
-        executed = []
-        _, result = run_simple(timing, executed, crash_at_cycle=1e12)
-        assert not result.crashed
-
-    def test_clock_has_reached_threshold(self, timing):
-        executed = []
-        machine, result = run_simple(timing, executed, crash_at_cycle=5.0)
-        assert result.crashed
-        assert max(c.clock for c in machine.cores) >= 5.0
-
-
-@pytest.mark.parametrize("timing", TIMINGS)
 class TestAtFlushBoundary:
     def test_fires_right_after_nth_flush(self, timing):
         executed = []
@@ -179,39 +154,6 @@ class TestAtFlushBoundary:
             timing, executed, crash_at_flush=profile.flush_ops + 1
         )
         assert not result.crashed
-
-
-@pytest.mark.parametrize("timing", TIMINGS)
-class TestAtMarkBoundary:
-    def test_fires_right_after_nth_mark(self, timing):
-        executed = []
-        _, result = run_simple(timing, executed, crash_at_mark=2)
-        assert result.crashed
-        assert result.region_marks == 2
-        # Each loop iteration is store/flush/fence/mark: the run stops
-        # exactly at the 2nd mark, the 8th op.
-        assert result.ops_executed == 8
-
-    def test_fires_on_the_final_op_of_the_run(self, timing):
-        # The last op the thread yields is a RegionMark; the trigger on
-        # it must still report a crash, not a graceful end.
-        executed = []
-        _, profile = run_simple(timing, executed)
-        n_marks = profile.region_marks
-        assert executed[-1][0] == "mark"
-        executed = []
-        _, result = run_simple(timing, executed, crash_at_mark=n_marks)
-        assert result.crashed
-        assert result.region_marks == n_marks
-        assert result.ops_executed == profile.ops_executed
-
-
-@pytest.mark.parametrize("timing", TIMINGS)
-def test_op_limit_stops_without_crashing(timing):
-    executed = []
-    _, result = run_simple(timing, executed, op_limit=3)
-    assert not result.crashed
-    assert result.ops_executed == 3
 
 
 @pytest.mark.parametrize("timing", TIMINGS)

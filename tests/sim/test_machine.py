@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import AddressError, ConfigError
 from repro.sim.config import CacheConfig, MachineConfig
-from repro.sim.isa import Compute, Load, RegionMark, Store
+from repro.sim.isa import Compute, Load, Store
 from repro.sim.machine import Machine
 
 
@@ -156,13 +156,6 @@ class TestRun:
         with pytest.raises(ConfigError):
             m.run([])
 
-    def test_op_limit_stops_early(self):
-        m = tiny_machine()
-        r = m.alloc("a", 64)
-        result = m.run([incrementer(r, 0, 64)], op_limit=10)
-        assert result.ops_executed == 10
-        assert not result.crashed
-
 
 class TestCrashTriggers:
     def test_crash_at_op(self):
@@ -171,35 +164,6 @@ class TestCrashTriggers:
         result = m.run([incrementer(r, 0, 64)], crash_at_op=15)
         assert result.crashed
         assert result.ops_executed == 15
-
-    def test_crash_at_mark(self):
-        def marked(region):
-            for i in range(8):
-                yield Store(region.addr(i), 1.0)
-                yield RegionMark(f"r{i}")
-
-        m = tiny_machine()
-        r = m.alloc("a", 8)
-        result = m.run([marked(r)], crash_at_mark=3)
-        assert result.crashed
-        assert result.region_marks == 3
-
-    def test_crash_at_cycle(self):
-        m = tiny_machine()
-        r = m.alloc("a", 64)
-        result = m.run([incrementer(r, 0, 64)], crash_at_cycle=500.0)
-        assert result.crashed
-
-    def test_on_mark_callback(self):
-        seen = []
-
-        def marked():
-            yield RegionMark("hello")
-
-        m = tiny_machine()
-        m.on_mark = lambda mark, cid, clock: seen.append((mark.label, cid))
-        m.run([marked()])
-        assert seen == [("hello", 0)]
 
 
 class TestCrashSemantics:

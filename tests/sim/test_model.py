@@ -23,7 +23,6 @@ from repro.sim.model import (
     PersistencyModel,
     enumerable_model_names,
     get_model,
-    litmus_model_names,
     model_names,
 )
 from repro.sim.persist import PersistOrderTracker
@@ -85,7 +84,7 @@ class TestRegistry:
         }
 
     def test_litmus_models_include_the_broken_variant(self):
-        assert "eadr_nofence" in litmus_model_names()
+        assert "eadr_nofence" in enumerable_model_names()
         assert PERSISTENCY_MODELS["eadr_nofence"].broken
         # and the broken model claims a sound model's spec
         assert PERSISTENCY_MODELS["eadr_nofence"].spec == "eadr"

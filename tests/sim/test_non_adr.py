@@ -71,6 +71,18 @@ class TestCrashSemantics:
             post = m.after_crash()
             assert post.arch_value(r.addr(0)) == expected, f"adr={adr}"
 
+    def test_flush_trigger_loses_the_in_flight_write_without_adr(self):
+        """``crash_at_flush`` stops right after the flush issues.  The
+        device finishes the write later, so pre-ADR rolls it back; ADR
+        keeps it, since acceptance is durability there."""
+        for adr, expected in ((True, 5.0), (False, 0.0)):
+            m = machine(adr=adr)
+            r = m.alloc("a", 8)
+            result = m.run([flushing_writer(r, 4)], crash_at_flush=1)
+            assert result.crashed and result.flush_ops == 1
+            post = m.after_crash()
+            assert post.arch_value(r.addr(0)) == expected, f"adr={adr}"
+
     def test_completed_write_survives_without_adr(self):
         """If enough time passes after the flush, the write is durable
         even without ADR."""
@@ -112,12 +124,3 @@ class TestCrashSemantics:
         r = m.alloc("a", 8)
         m.run([flushing_writer(r, 4)], crash_at_op=6)
         assert m.mc.discard_in_flight(0.0) == 0
-
-
-class TestUndoBookkeeping:
-    def test_prune_drops_completed_records(self):
-        m = machine(adr=False)
-        r = m.alloc("a", 8)
-        m.run([flushing_writer(r, 4)])
-        m.mc.prune_undo(1e12)
-        assert m.mc.discard_in_flight(0.0) == 0  # nothing left to undo

@@ -80,14 +80,14 @@ class TestCrash:
         mem.persist_line(64)  # persists both (same line)
         mem.store(72, 3.0)  # diverges again, never persisted
 
-        post = mem.crashed_copy()
+        post = MemoryState.from_image(mem.persistent)
         assert post.load(64) == 1.0
         assert post.load(72) == 2.0  # the 3.0 died in the cache
 
     def test_crashed_copy_is_independent(self):
         mem = MemoryState()
         mem.init(64, 1.0)
-        post = mem.crashed_copy()
+        post = MemoryState.from_image(mem.persistent)
         post.store(64, 9.0)
         assert mem.load(64) == 1.0
 
@@ -95,5 +95,5 @@ class TestCrash:
         mem = MemoryState()
         mem.init(64, 1.0)
         mem.store(64, 2.0)
-        post = mem.crashed_copy()
+        post = MemoryState.from_image(mem.persistent)
         assert post.load(64) == post.persisted(64) == 1.0

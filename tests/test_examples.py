@@ -7,6 +7,7 @@ same analysis-layer entry points they call.
 
 import importlib.util
 import pathlib
+import re
 import sys
 
 
@@ -40,7 +41,10 @@ class TestTmmCrashRecovery:
         monkeypatch.setattr(sys, "argv", ["tmm_crash_recovery.py"])
         load_example("tmm_crash_recovery.py").main()
         out = capsys.readouterr().out
-        assert "blocks repaired" in out
+        # The default crash point leaves blocks to repair, and the
+        # count comes from the recovery's region marks.
+        repaired = re.search(r"(\d+) blocks repaired", out)
+        assert repaired is not None and int(repaired.group(1)) > 0
         assert out.rstrip().endswith("OK")
 
 

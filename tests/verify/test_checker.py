@@ -146,9 +146,9 @@ class TestPlanSerialization:
         "plan",
         [
             CrashPlan(at_op=7),
-            CrashPlan(at_cycle=12.5),
-            CrashPlan(at_mark=3),
+            CrashPlan(at_op=0),  # falsy, but still the one set trigger
             CrashPlan(at_flush=9),
+            CrashPlan(at_flush=1),
         ],
     )
     def test_roundtrip(self, plan):

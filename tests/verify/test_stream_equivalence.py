@@ -52,7 +52,6 @@ CONFIG = MachineConfig(num_cores=NUM_THREADS + 1)
 RESULT_FIELDS = (
     "crashed",
     "ops_executed",
-    "region_marks",
     "finished_threads",
     "total_threads",
     "flush_ops",

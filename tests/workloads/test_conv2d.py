@@ -8,6 +8,7 @@ from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.crash import CrashPlan, run_with_crash
 from repro.sim.machine import Machine
 from repro.workloads.conv2d import Conv2D
+from tests.workloads.conftest import run_with_marks
 
 
 def machine(cores=3):
@@ -107,9 +108,7 @@ class TestCrashRecovery:
         m.drain()
         post = m.after_crash()
         rb = wl.bind(post, num_threads=2)
-        marks = []
-        post.on_mark = lambda mark, cid, clock: marks.append(mark.label)
-        post.run(rb.recovery_threads("lp"))
+        _, marks = run_with_marks(post, rb.recovery_threads("lp"))
         assert any(":recover:" in mark for mark in marks)
         assert not any(":redo:" in mark for mark in marks)
         assert rb.verify()

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
+from repro.obs import TraceRecorder, probed
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.crash import CrashPlan, run_with_crash
+from repro.sim.isa import RegionMark
 from repro.sim.machine import Machine
 from repro.workloads.tmm import TiledMatMul
 
@@ -112,12 +114,13 @@ class TestVariantCostShape:
 
 
 class TestCrashRecovery:
-    def crash_recover(self, at_op, threads=2, at_mark=None):
+    def crash_recover(self, at_op, threads=2):
         wl = TiledMatMul(n=N, bsize=B)
         m = machine(num_cores=threads)
         bound = wl.bind(m, num_threads=threads)
-        plan = CrashPlan(at_op=at_op) if at_mark is None else CrashPlan(at_mark=at_mark)
-        result, post = run_with_crash(m, bound.threads("lp"), plan)
+        result, post = run_with_crash(
+            m, bound.threads("lp"), CrashPlan(at_op=at_op)
+        )
         rebound = wl.bind(post, num_threads=threads)
         rres = post.run(rebound.recovery_threads("lp"))
         return result, rres, rebound
@@ -131,8 +134,22 @@ class TestCrashRecovery:
         assert rebound.verify(), f"recovery failed for crash at op {at_op}"
 
     def test_crash_at_region_boundary(self):
-        result, rres, rebound = self.crash_recover(None, at_mark=4)
+        # Crash right after the 4th region mark.  A probed profiling
+        # run gives each op's position; tmm yields no barriers, so a
+        # mark's position is the op count at which the crash lands.
+        m = machine(num_cores=2)
+        bound = TiledMatMul(n=N, bsize=B).bind(m, num_threads=2)
+        recorder = TraceRecorder()
+        with probed(m, [recorder]):
+            m.run(bound.threads("lp"))
+        mark_ends = [
+            i + 1
+            for i, ev in enumerate(recorder.ops)
+            if type(ev.op) is RegionMark
+        ]
+        result, rres, rebound = self.crash_recover(mark_ends[3])
         assert result.crashed
+        assert result.ops_executed == mark_ends[3]
         assert rebound.verify()
 
     def test_recovery_output_is_durable(self):

@@ -11,6 +11,7 @@ from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.crash import CrashPlan, run_with_crash
 from repro.sim.machine import Machine
 from repro.workloads.tmm import REPAIR_MODES, TiledMatMul
+from tests.workloads.conftest import run_with_marks
 
 N, B = 24, 8
 
@@ -106,10 +107,9 @@ class TestDrainedRecovery:
         m.drain()
         post = m.after_crash()
         rb = wl.bind(post, num_threads=2)
-        marks = []
-        post.on_mark = lambda mark, cid, clock: marks.append(mark.label)
-        res = post.run(rb.recovery_threads("lp"))
+        res, marks = run_with_marks(post, rb.recovery_threads("lp"))
         assert rb.verify()
+        assert any(label.endswith(":scan") for label in marks)
         assert not [label for label in marks if ":repair:" in label]
         assert res.flush_ops == 0
 
