@@ -23,7 +23,9 @@ Two numbers justify the semantics/timing split:
   (:func:`bench_common.through_core_execute`), as the pre-pipeline
   checker did, so the bar keeps measuring replay recovery against
   that checker rather than against the heap scheduler's inlined
-  L1-hit load.
+  L1-hit load.  Its recovery machines record no persist order (only
+  crash-point runs request that), so the leg runs a little faster
+  than the pre-pipeline checker's recovery did.
 
 ``test_throughput_ratchet`` additionally holds absolute rates above
 committed floors (``benchmarks/baselines/throughput_floor.json``), one

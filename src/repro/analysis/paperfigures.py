@@ -7,15 +7,15 @@ this module is the user-facing facade for a quick end-to-end check.
 
 Scales:
 
-* ``smoke`` — TMM-only, ~15 seconds.  Used by the test suite.
-* ``quick`` — all five kernels at reduced size, a few minutes.
+* ``smoke`` — TMM-only, about a second.  Used by the test suite.
+* ``quick`` — all five kernels at reduced size, a few seconds.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-from repro.analysis.experiments import compare_variants
+from repro.analysis.experiments import ExperimentResult
 from repro.analysis.runner import Job, run_jobs
 from repro.analysis.reporting import format_table, geomean
 from repro.core.accuracy import run_error_injection
@@ -51,18 +51,43 @@ def _config(threads: int) -> MachineConfig:
     return scaled_machine(num_cores=threads + 1)
 
 
-def _scheme_section(scale: dict, n_jobs: int = 1) -> str:
-    """Figure 10 flavour: all TMM schemes, normalized."""
+#: Variants of the per-kernel table (paper Figures 12/13).
+_KERNEL_VARIANTS = ("base", "lp", "ep")
+
+#: One forward point's result, keyed (workload, variant).
+_Grid = Dict[Tuple[str, str], ExperimentResult]
+
+
+def _forward_grid(scale: dict, n_jobs: int = 1) -> _Grid:
+    """Run every forward point of the scheme and kernel tables.
+
+    The two tables share tmm's base, lp and ep points.  The whole grid
+    goes to the engine as one batch, and the engine simulates each
+    distinct point once.
+    """
     cfg = _config(scale["threads"])
-    wl = get_workload("tmm")(**scale["workloads"]["tmm"])
-    results = compare_variants(
-        wl, cfg, list(wl.variants), num_threads=scale["threads"], drain=True,
-        n_jobs=n_jobs,
-    )
-    base = results["base"]
+    points = [("tmm", v) for v in get_workload("tmm").variants] + [
+        (name, v) for name in scale["workloads"] for v in _KERNEL_VARIANTS
+    ]
+    jobs = [
+        Job(
+            get_workload(name)(**scale["workloads"][name]),
+            cfg,
+            variant,
+            num_threads=scale["threads"],
+            drain=True,
+        )
+        for name, variant in points
+    ]
+    return dict(zip(points, run_jobs(jobs, n_jobs=n_jobs)))
+
+
+def _scheme_section(grid: _Grid) -> str:
+    """Figure 10 flavour: all TMM schemes, normalized."""
+    base = grid["tmm", "base"]
     rows = []
-    for name in wl.variants:
-        r = results[name]
+    for name in get_workload("tmm").variants:
+        r = grid["tmm", name]
         rows.append(
             [
                 name,
@@ -79,36 +104,15 @@ def _scheme_section(scale: dict, n_jobs: int = 1) -> str:
     )
 
 
-def _kernels_section(scale: dict, n_jobs: int = 1) -> str:
-    """Figures 12/13 flavour: LP vs EP across kernels.
-
-    All (kernel, variant) points are independent, so the whole grid is
-    submitted to the engine as one batch.
-    """
-    cfg = _config(scale["threads"])
-    variants = ["base", "lp", "ep"]
-    names = list(scale["workloads"])
-    jobs = [
-        Job(
-            get_workload(name)(**params),
-            cfg,
-            v,
-            num_threads=scale["threads"],
-            drain=True,
-        )
-        for name, params in scale["workloads"].items()
-        for v in variants
-    ]
-    flat = iter(run_jobs(jobs, n_jobs=n_jobs))
-    grid = {name: {v: next(flat) for v in variants} for name in names}
+def _kernels_section(scale: dict, grid: _Grid) -> str:
+    """Figures 12/13 flavour: LP vs EP across kernels."""
     rows = []
     lp_ratios: List[float] = []
     ep_ratios: List[float] = []
-    for name in names:
-        results = grid[name]
-        base = results["base"]
-        lp = results["lp"].exec_cycles / base.exec_cycles
-        ep = results["ep"].exec_cycles / base.exec_cycles
+    for name in scale["workloads"]:
+        base = grid[name, "base"]
+        lp = grid[name, "lp"].exec_cycles / base.exec_cycles
+        ep = grid[name, "ep"].exec_cycles / base.exec_cycles
         lp_ratios.append(lp)
         ep_ratios.append(ep)
         rows.append([name, round(lp, 3), round(ep, 3)])
@@ -170,8 +174,8 @@ def _accuracy_section(scale: dict) -> str:
 def reproduce(scale: str = "quick", n_jobs: int = 1) -> str:
     """Run the compact reproduction and return the report text.
 
-    ``n_jobs`` fans the independent experiment points inside each
-    section out over that many processes (see
+    ``n_jobs`` fans the forward points of the scheme and kernel tables,
+    one batch, out over that many processes (see
     :mod:`repro.analysis.runner`); the crash and accuracy sections are
     sequential campaigns and always run serially.
     """
@@ -181,10 +185,11 @@ def reproduce(scale: str = "quick", n_jobs: int = 1) -> str:
         raise ConfigError(
             f"unknown scale {scale!r}; choose from {sorted(_SCALES)}"
         ) from None
+    grid = _forward_grid(params, n_jobs=n_jobs)
     sections = [
         f"# Lazy Persistency reproduction report (scale: {scale})",
-        _scheme_section(params, n_jobs=n_jobs),
-        _kernels_section(params, n_jobs=n_jobs),
+        _scheme_section(grid),
+        _kernels_section(params, grid),
         _recovery_section(params),
         _accuracy_section(params),
         (

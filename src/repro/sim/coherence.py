@@ -517,7 +517,7 @@ class ReplayHierarchy:
 
     Replay machines must never feed crash-state enumeration (their
     dirty set and persist order are intentionally vacuous);
-    :meth:`repro.sim.machine.Machine.crash_state_space` guards this.
+    :meth:`repro.sim.machine.Machine.track_persists` guards this.
 
     ``Machine._run_replay`` inlines this class's load and store paths;
     ``tests/verify/test_timing_equivalence.py`` pins that loop to the

@@ -67,8 +67,11 @@ def run_to_crash_space(
     finished before the trigger fired (nothing crashed, nothing to
     enumerate).  This is the model-checking counterpart of
     :func:`run_with_crash`, which commits to the single image the
-    simulated schedule produced.
+    simulated schedule produced.  ``machine`` must not have run yet:
+    the persist order is recorded from its first op
+    (:meth:`Machine.track_persists`).
     """
+    machine.track_persists()
     result = machine.run(
         threads, crash_at_op=plan.at_op, crash_at_flush=plan.at_flush
     )

@@ -20,7 +20,7 @@ Store     :class:`StoreReserve`, hierarchy access,
 Compute   :class:`ComputeIssue`
 Flush     :class:`FlushReserve`, hierarchy flush,
 (clwb)    :class:`FlushCommit`
-Fence     :class:`FenceIssue` (persist tracker notified after)
+Fence     :class:`FenceIssue` (a persist tracker, if any, after)
 Mark      *(none — region marks are free)*
 ========  ======================================================
 

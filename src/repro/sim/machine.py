@@ -109,6 +109,11 @@ class Machine:
     for trigger-free replay runs the round-robin :meth:`_run_replay`
     loop, which ``tests/verify/test_timing_equivalence.py`` pins to
     the heap scheduler.
+
+    Persist order is recorded only on request: a run whose crash-state
+    space will be read calls :meth:`track_persists` first, and every
+    other run leaves ``mc.tracker`` unset, so its flushes and fences
+    skip the tracker.
     """
 
     def __init__(
@@ -152,19 +157,10 @@ class Machine:
         #: the value store so both execution paths (heap scheduler and
         #: replay loop) inherit it through the one store entry point.
         self.mem.persist_on_store = self.pmodel.persist_on_store
-        #: Persist-order recorder for crash-state enumeration.  Absent
-        #: on models whose durability is completion-timed (pre-ADR: MC
-        #: undo records govern instead) and on replay machines.
-        self.persist_tracker = (
-            PersistOrderTracker(self.mem, self.pmodel.name)
-            if self.pmodel.enumerable and not _replay
-            else None
-        )
         self.mc = MemoryController(
             config.nvmm,
             self.mem,
             self.stats,
-            self.persist_tracker,
             timing=self.timing.mc_view(),
             model=self.pmodel,
         )
@@ -582,29 +578,55 @@ class Machine:
             _allocator=self.allocator,
         )
 
-    def crash_state_space(self) -> CrashStateSpace:
-        """The set of NVMM images a crash *now* could expose.
+    def track_persists(self) -> None:
+        """Record persist order during the coming run, so that
+        :meth:`crash_state_space` can snapshot it at the crash.
 
-        Call on a machine whose run just crashed: combines the persist
-        tracker's pending (unfenced) flushes with the hierarchy's dirty
-        lines into a persist-order constraint graph whose order ideals
-        are exactly the reachable post-crash images (see
-        :mod:`repro.sim.persist` and :mod:`repro.verify`).
+        Only runs whose crash space is read ask for this
+        (:func:`~repro.sim.crash.run_to_crash_space` and the litmus
+        harness); every other run leaves the MC without a tracker.
+        Raises :class:`ConfigError` on a replay machine, on a model
+        whose durability is not order-ideal-shaped, and on a machine
+        that has already executed an op, whose earlier flushes the
+        tracker would miss.
         """
         if self.replay:
             raise ConfigError(
                 "replay machines execute architectural semantics only; "
                 "crash-state enumeration needs a full machine"
             )
-        if self.persist_tracker is None:
+        if not self.pmodel.enumerable:
             raise ConfigError(
                 f"crash-state enumeration is not defined for the "
                 f"{self.pmodel.name!r} persistency model. Models that "
                 f"support enumeration: "
                 f"{', '.join(enumerable_model_names())}"
             )
+        if self.stats.total_ops:
+            raise ConfigError(
+                "persist tracking must be requested before the machine "
+                "executes any op"
+            )
+        self.mc.tracker = PersistOrderTracker(self.mem, self.pmodel.name)
+
+    def crash_state_space(self) -> CrashStateSpace:
+        """The set of NVMM images a crash *now* could expose.
+
+        Call on a machine whose run just crashed, after a
+        :meth:`track_persists` request made before that run: combines
+        the persist tracker's pending (unfenced) flushes with the
+        hierarchy's dirty lines into a persist-order constraint graph
+        whose order ideals are exactly the reachable post-crash images
+        (see :mod:`repro.sim.persist` and :mod:`repro.verify`).
+        """
+        tracker = self.mc.tracker
+        if tracker is None:
+            raise ConfigError(
+                "persist tracking was not requested: call "
+                "Machine.track_persists() before the run"
+            )
         crash_time = max(c.clock for c in self.cores)
-        return self.persist_tracker.snapshot(
+        return tracker.snapshot(
             self.hierarchy.dirty_line_addrs(), crash_time
         )
 

@@ -56,15 +56,15 @@ class MemoryController:
         config: NVMMConfig,
         mem: MemoryState,
         stats: MachineStats,
-        tracker: Optional[PersistOrderTracker] = None,
         timing: Optional[MCTiming] = None,
         model: Optional[PersistencyModel] = None,
     ) -> None:
         self.config = config
         self.mem = mem
         self.stats = stats
-        #: Optional persist-order recorder (crash-state enumeration).
-        self.tracker = tracker
+        #: Persist-order recorder for crash-state enumeration; set only
+        #: by :meth:`~repro.sim.machine.Machine.track_persists`.
+        self.tracker: Optional[PersistOrderTracker] = None
         #: Queue/pipe arithmetic; directly constructed MCs (tests)
         #: default to the detailed Table II timing.
         self.timing = (

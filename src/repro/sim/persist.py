@@ -171,7 +171,9 @@ class CrashStateSpace:
 class PersistOrderTracker:
     """Runtime recorder of pending (unfenced) flush persists.
 
-    The memory controller calls :meth:`on_accept` for every write it
+    A machine has one only when a run asks for its crash space
+    (:meth:`~repro.sim.machine.Machine.track_persists`).  The memory
+    controller then calls :meth:`on_accept` for every write it
     accepts; cores call :meth:`on_fence` when an ``sfence`` retires.
     Dirty lines are not tracked during the run — they are discovered by
     the crash snapshot from the cache hierarchy.

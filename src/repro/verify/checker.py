@@ -331,7 +331,7 @@ def check_crash_point(
 
     ``plan=None`` checks only the image the simulated schedule left
     (the :meth:`~repro.sim.machine.Machine.after_crash` image), as a
-    zero-event space: one image, bound 1, exhaustive.  It needs no
+    zero-event space: one image, bound 1, exhaustive.  It requests no
     persist tracker, so it runs under every persistency model.  Its
     counterexamples carry that image but no events; replay them with
     :func:`~repro.sim.crash.run_with_crash`.

@@ -346,6 +346,7 @@ def run_program(program: LitmusProgram, model: str) -> LitmusRun:
         _thread_gen(cid, ops, addrs, trace)
         for cid, ops in enumerate(program.threads)
     ]
+    machine.track_persists()
     machine.run(gens)
 
     # The spec assumes nothing but program flushes moved data to the

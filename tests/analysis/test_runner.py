@@ -278,7 +278,10 @@ class TestResultCache:
         cache = ResultCache(str(tmp_path))
         (good,) = run_jobs(jobs_for(("lp",)), cache=cache)
         key = jobs_for(("lp",))[0].cache_key()
-        other = "ab" + key[2:]
+        # Bump the first hex digit: the renamed record always sits
+        # under a key that differs from the one it stores.
+        other = format((int(key[0], 16) + 1) % 16, "x") + key[1:]
+        assert other != key
         os.makedirs(os.path.dirname(cache._path(other)), exist_ok=True)
         os.rename(cache._path(key), cache._path(other))
         fresh = ResultCache(str(tmp_path))

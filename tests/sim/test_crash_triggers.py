@@ -55,9 +55,11 @@ def simple_thread(machine, executed, n_stores=4):
         executed.append(("mark", i))
 
 
-def run_simple(timing, executed, **crash_kwargs):
+def run_simple(timing, executed, *, track=False, **crash_kwargs):
     machine = make_machine(timing)
     machine.alloc("data", 8)
+    if track:
+        machine.track_persists()
     result = machine.run(
         [simple_thread(machine, executed)], **crash_kwargs
     )
@@ -126,10 +128,12 @@ class TestAtFlushBoundary:
 
     def test_flush_data_is_accepted_but_unfenced(self, timing):
         executed = []
-        machine, result = run_simple(timing, executed, crash_at_flush=1)
+        machine, result = run_simple(
+            timing, executed, track=True, crash_at_flush=1
+        )
         # Persist-boundary semantics: the flushed line reached the MC...
         assert result.stats.nvmm_writes == 1
-        tracker = machine.persist_tracker
+        tracker = machine.mc.tracker
         assert tracker is not None
         # ...but no fence ordered it: it is still a pending event the
         # crash-state space treats as reorderable.

@@ -68,11 +68,13 @@ def test_every_registry_workload_is_covered():
     assert sorted(SPECS) == available_workloads()
 
 
-def _run(name, variant, *, observers=None, **triggers):
+def _run(name, variant, *, observers=None, track=False, **triggers):
     machine = Machine(CONFIG)
     bound = get_workload(name)(**SPECS[name]).bind(
         machine, num_threads=NUM_THREADS
     )
+    if track:
+        machine.track_persists()
     if observers is None:
         result = machine.run(bound.threads(variant), **triggers)
     else:
@@ -110,9 +112,13 @@ def test_crash_state_space_matches(name):
     _, full = _run(name, "ep")
     assert full.flush_ops > 0
     at_flush = max(1, full.flush_ops // 2)
-    fast, r_fast = _run(name, "ep", crash_at_flush=at_flush)
+    fast, r_fast = _run(name, "ep", track=True, crash_at_flush=at_flush)
     ref, r_ref = _run(
-        name, "ep", observers=[_OpSink()], crash_at_flush=at_flush
+        name,
+        "ep",
+        observers=[_OpSink()],
+        track=True,
+        crash_at_flush=at_flush,
     )
     assert r_fast.crashed and r_ref.crashed
     _assert_identical(fast, ref, r_fast, r_ref)

@@ -120,7 +120,8 @@ class TestConfigPlumbing:
         for cfg in (direct, derived):
             m = Machine(cfg)
             assert m.mc.model.name == "pre_adr"
-            assert m.persist_tracker is None
+            with pytest.raises(ConfigError, match="'pre_adr'"):
+                m.track_persists()
             region = m.alloc("a", 16)
             res = m.run([flushing_writer(region, 8)], crash_at_op=12)
             post = m.after_crash()
@@ -218,8 +219,9 @@ class TestPerModelMachineSemantics:
     def test_epoch_fences_do_not_commit(self):
         m = machine("epoch")
         r = m.alloc("a", 8)
+        m.track_persists()
         m.run([flushing_writer(r, 2)])
-        tracker = m.persist_tracker
+        tracker = m.mc.tracker
         assert tracker is not None
         # flushes reached the MC (durable *values* are there)...
         assert m.read_region(r, persistent=True)[:2] == [5.0, 5.0]
@@ -236,9 +238,15 @@ class TestPerModelMachineSemantics:
 
     def test_pre_adr_machine_has_no_tracker(self):
         m = machine("pre_adr")
-        assert m.persist_tracker is None
-        with pytest.raises(ConfigError, match="adr, eadr, strict, epoch"):
+        assert m.mc.tracker is None
+        with pytest.raises(ConfigError, match="not requested"):
             m.crash_state_space()
+
+    def test_pre_adr_refuses_tracking_with_enumerable_models(self):
+        m = machine("pre_adr")
+        with pytest.raises(ConfigError, match="adr, eadr, strict, epoch"):
+            m.track_persists()
+        assert m.mc.tracker is None
 
 
 class TestTrackerModelAxis:

@@ -189,3 +189,64 @@ class TestMachineIntegration:
         assert result.crashed
         assert result.flush_ops == 3
         assert any(ev.kind == KIND_FLUSH for ev in space.events)
+
+
+class TestTrackingRequest:
+    """Persist order is recorded only when a run asks for it."""
+
+    def tmm_machine(self):
+        from repro.workloads.tmm import TiledMatMul
+
+        machine = Machine(tiny_machine())
+        bound = TiledMatMul(n=8, bsize=4, kk_tiles=1).bind(
+            machine, num_threads=2, engine="modular"
+        )
+        return machine, bound
+
+    def test_untracked_machine_refuses_crash_space(self):
+        machine, bound = self.tmm_machine()
+        result = machine.run(bound.threads("ep"), crash_at_flush=3)
+        assert result.crashed
+        assert machine.mc.tracker is None
+        with pytest.raises(ConfigError, match="not requested"):
+            machine.crash_state_space()
+
+    def test_request_after_a_run_is_refused(self):
+        machine, bound = self.tmm_machine()
+        machine.run(bound.threads("ep"), crash_at_op=5)
+        with pytest.raises(ConfigError, match="before the machine"):
+            machine.track_persists()
+        assert machine.mc.tracker is None
+
+    def test_replay_machine_refuses_request(self):
+        machine, _ = self.tmm_machine()
+        replay = machine.after_crash_with_image(
+            dict(machine.mem.persistent), replay=True
+        )
+        with pytest.raises(ConfigError, match="full machine"):
+            replay.track_persists()
+
+    @pytest.mark.parametrize(
+        "name,variant", ALL_VARIANTS, ids=[f"{n}/{v}" for n, v in ALL_VARIANTS]
+    )
+    def test_tracking_leaves_the_run_unchanged(self, name, variant):
+        """The tracker only reads memory state: a tracked full run and
+        an untracked one simulate exactly the same machine."""
+        workload = get_workload(name)(**SMALL_PARAMS[name])
+        runs = []
+        for track in (False, True):
+            machine = Machine(tiny_machine())
+            bound = workload.bind(machine, num_threads=2, engine="modular")
+            if track:
+                machine.track_persists()
+            result = machine.run(bound.threads(variant))
+            assert (machine.mc.tracker is not None) == track
+            runs.append((machine, result))
+        (plain, r_plain), (tracked, r_tracked) = runs
+        assert r_plain.stats.summary() == r_tracked.stats.summary()
+        assert [c.clock for c in plain.cores] == [
+            c.clock for c in tracked.cores
+        ]
+        assert plain.mem.arch == tracked.mem.arch
+        assert plain.mem.persistent == tracked.mem.persistent
+        assert plain.stats.writes_by_cause == tracked.stats.writes_by_cause
